@@ -10,8 +10,8 @@
 // Correctness is asserted in-process, not just reported:
 //   - per config, the matrix-free and Gram centroids must agree to epsilon
 //     (they differ in summation order only — the run aborts past 1e-4);
-//   - once per run, a k-Shape clustering with KSHAPE_MATFREE on vs off must
-//     produce EXACTLY the same labels and iteration count (the gate-parity
+//   - once per run, a k-Shape clustering with use_matrix_free on vs off must
+//     produce EXACTLY the same labels and iteration count (the mode-parity
 //     acceptance bar, checked here on the bench corpus too).
 //
 // One BENCH JSON line per (n_c, m):
@@ -172,8 +172,8 @@ void BenchConfig(std::size_t n_c, std::size_t m, bool labels_match,
                  harness::FormatRatio(gram_cold / matfree_cold)});
 }
 
-// Gate-parity acceptance on a clustering workload: identical labels and
-// iteration counts with KSHAPE_MATFREE on vs off. Returns true on parity
+// Mode-parity acceptance on a clustering workload: identical labels and
+// iteration counts with use_matrix_free on vs off. Returns true on parity
 // (and aborts the bench otherwise — this is the in-process assert).
 bool CheckLabelParity() {
   using namespace kshape;
@@ -195,23 +195,22 @@ bool CheckLabelParity() {
     series.push_back(tseries::ZNormalized(s));
   }
 
-  const core::KShape algorithm;
-  const bool saved = core::MatrixFreeEnabled();
-  core::SetMatrixFreeEnabledForTesting(true);
+  const core::KShape matrix_free;
+  core::KShapeOptions gram_options;
+  gram_options.shape_options.use_matrix_free = false;
+  const core::KShape gram(gram_options);
   common::Rng rng_on(7);
-  const cluster::ClusteringResult on = algorithm.Cluster(series, k, &rng_on);
-  core::SetMatrixFreeEnabledForTesting(false);
+  const cluster::ClusteringResult on = matrix_free.Cluster(series, k, &rng_on);
   common::Rng rng_off(7);
-  const cluster::ClusteringResult off = algorithm.Cluster(series, k, &rng_off);
-  core::SetMatrixFreeEnabledForTesting(saved);
+  const cluster::ClusteringResult off = gram.Cluster(series, k, &rng_off);
 
   const bool parity = on.assignments == off.assignments &&
                       on.iterations == off.iterations;
   KSHAPE_CHECK_MSG(parity,
-                   "KSHAPE_MATFREE on/off label parity failed on the bench "
+                   "use_matrix_free on/off label parity failed on the bench "
                    "corpus");
   std::printf(
-      "label parity: KSHAPE_MATFREE on vs off — %zu labels identical, "
+      "label parity: use_matrix_free on vs off — %zu labels identical, "
       "%d iterations both\n",
       on.assignments.size(), on.iterations);
   return parity;

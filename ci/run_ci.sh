@@ -13,17 +13,12 @@
 #    cache through the whole tier (the half-spectrum equivalence contract
 #    says labels and accuracies cannot change), and a KSHAPE_PRUNE=off leg
 #    that forces exhaustive exact scans through the whole tier (the pruning
-#    equivalence contract says labels cannot change), and KSHAPE_SHARDS=on
-#    / KSHAPE_SHARDS=off legs that pin the out-of-core gate both ways (the
-#    sharded exact-mode contract says results are bit-identical to the
-#    in-memory driver, and the "off" leg forces the fall-back-to-exact path
-#    through the mini-batch suite), and a KSHAPE_MATFREE=off leg that forces
-#    the dense Gram eigensolver through the whole tier (the matrix-free
-#    contract says the off state is bit-identical to the pre-matrix-free
-#    implementation, and label parity with the on state is pinned by the
-#    suites themselves); then the storage-layout, simd-kernels, rfft-batch,
-#    assignment-pruning, and shape-extraction microbenches plus the sharded
-#    fig12 scalability bench in --smoke mode as release-stage smoke tests
+#    equivalence contract says labels cannot change) — five tier-1 legs.
+#    The sharded exact-mode and matrix-free contracts need no leg of their
+#    own: mini-batch mode and matrix-free extraction are chosen by options
+#    alone, and the suites pin both sides in-process. Then the
+#    storage-layout, simd-kernels, rfft-batch, assignment-pruning, and
+#    shape-extraction microbenches plus the sharded fig12 scalability bench in --smoke mode as release-stage smoke tests
 #    (all cross-check bit-identity, epsilon equivalence, or label equality
 #    and write their BENCH_*.json files), the model_predict serving bench in
 #    --smoke mode (asserts saved->loaded Predict bit-identity), and a
@@ -99,16 +94,6 @@ echo "==> tier1 tests, KSHAPE_HALF_SPECTRUM=off (forced full-complex spectra)"
 echo "==> tier1 tests, KSHAPE_PRUNE=off (forced exhaustive exact scans)"
 (cd "${RELEASE_DIR}" &&
  KSHAPE_PRUNE=off ctest -L tier1 --output-on-failure -j "${JOBS}")
-
-for shards in on off; do
-  echo "==> tier1 tests, KSHAPE_SHARDS=${shards} (out-of-core gate pinned)"
-  (cd "${RELEASE_DIR}" &&
-   KSHAPE_SHARDS="${shards}" ctest -L tier1 --output-on-failure -j "${JOBS}")
-done
-
-echo "==> tier1 tests, KSHAPE_MATFREE=off (forced dense Gram eigensolver)"
-(cd "${RELEASE_DIR}" &&
- KSHAPE_MATFREE=off ctest -L tier1 --output-on-failure -j "${JOBS}")
 
 echo "==> storage-layout smoke test (contiguous vs nested bit-identity)"
 (cd "${RELEASE_DIR}" && ./bench/storage_layout --smoke)

@@ -195,19 +195,10 @@ ClusteringResult Ksc::Cluster(const tseries::SeriesBatch& series,
   const std::size_t n = series.size();
   const std::size_t m = series.length();
 
-  // FFT alignment only when both the option and the process-wide gate say
-  // yes, so KSHAPE_HALF_SPECTRUM=off restores the time-domain path globally.
-  const bool fft_align =
-      options_.use_fft_alignment && fft::HalfSpectrumEnabled();
+  const bool fft_align = options_.use_fft_alignment;
   const auto distance = [&](tseries::SeriesView x, tseries::SeriesView y) {
     return fft_align ? KscAlignFft(x, y).distance : KscAlign(x, y).distance;
   };
-
-  // Same gate composition as the FFT path: the per-algorithm option AND the
-  // process-wide KSHAPE_MATFREE gate, so one environment variable restores
-  // the dense eigensolver everywhere bit-identically.
-  const bool matrix_free =
-      options_.use_matrix_free && linalg::MatrixFreeEnabled();
 
   ClusteringResult result;
   result.assignments = RandomAssignments(n, k, rng);
@@ -220,7 +211,8 @@ ClusteringResult Ksc::Cluster(const tseries::SeriesBatch& series,
     const auto groups = GroupByCluster(result.assignments, k);
     for (int j = 0; j < k; ++j) {
       result.centroids[j] = KscCentroid(series, groups[j], result.centroids[j],
-                                        rng, fft_align, matrix_free);
+                                        rng, fft_align,
+                                        options_.use_matrix_free);
     }
     result.extraction_seconds += phase_clock.ElapsedSeconds();
     phase_clock.Reset();

@@ -51,20 +51,18 @@ struct KscOptions {
 
   /// When true (default), centroid alignment and assignment distances run
   /// through KscAlignFft — O(m log m) per pair instead of O(m^2) — on the
-  /// half-spectrum transform path. Combined with the process-wide
-  /// KSHAPE_HALF_SPECTRUM gate (fft/rfft.h): KSHAPE_HALF_SPECTRUM=off
-  /// restores the time-domain evaluation everywhere without touching call
-  /// sites. False forces the time-domain path, kept for ablation.
+  /// half-spectrum transform path. This option is the only switch: the
+  /// process-wide spectrum-layout gate does not affect KSC. False forces the
+  /// time-domain path, kept for ablation.
   bool use_fft_alignment = true;
 
-  /// When true (default) — and the process-wide KSHAPE_MATFREE gate
-  /// (linalg/row_pool.h) agrees — the centroid eigenproblem runs
-  /// matrix-free: P = Σ bᵢbᵢᵀ/||bᵢ||² is never formed; power iteration
+  /// When true (default), the centroid eigenproblem runs matrix-free:
+  /// P = Σ bᵢbᵢᵀ/||bᵢ||² is never formed; power iteration
   /// applies P·v = Σ ŝᵢ(ŝᵢ·v) over the unit-scaled aligned members
   /// ŝᵢ = bᵢ/||bᵢ|| in O(n_c·m) per step — the same structure as matrix-free
   /// shape extraction, minus the centering. Epsilon-equal to the dense path
-  /// (different summation order), with the identical RNG draw sequence;
-  /// KSHAPE_MATFREE=off restores the dense path bit-identically.
+  /// (different summation order), with the identical RNG draw sequence.
+  /// False keeps the dense path.
   bool use_matrix_free = true;
 };
 

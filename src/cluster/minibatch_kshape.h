@@ -12,33 +12,28 @@
 
 namespace kshape::cluster {
 
-/// Out-of-core k-Shape over a ShardedSeriesStore: the block-partitioned
-/// driver for the 10^5-10^6 series regime, where the corpus does not fit
-/// (or should not sit) in memory.
+/// Out-of-core k-Shape over a ShardedSeriesStore, for the 10^5-10^6 series
+/// regime where the corpus does not fit (or should not sit) in memory.
 ///
-/// Every pass streams shards in order through a per-shard SbdEngine — the
+/// A facade over the one k-Shape driver (core/kshape_driver.h): the store is
+/// presented as one block per shard, each with its own SbdEngine — the
 /// residency budget bounds both the raw samples and the engine spectra, so
 /// peak memory is O(max_resident_shards * shard_rows * m), independent of n.
 /// Centroid spectra are minted once per iteration (SbdEngine::MakeQueryFor)
 /// and reused against every shard engine; shape extraction streams members
 /// through one ShapeAccumulator per cluster in global index order.
 ///
-/// Two operating modes, selected by KShapeOptions::minibatch_size and the
-/// process-wide KSHAPE_SHARDS gate:
+/// Two operating modes, selected by KShapeOptions::minibatch_size alone:
 ///
-///  - Exact (minibatch_size == 0, or KSHAPE_SHARDS=off): every iteration is
-///    a full pass. The run is bit-identical to the in-memory KShape on the
-///    same series — same labels, same centroids, same iteration count, same
-///    distance telemetry — at every thread count, SIMD backend, spectrum
-///    layout, pruning setting, and shard geometry. The per-shard engines
-///    produce bitwise the same spectra and norms as one big engine (the FFT
-///    of a series depends on nothing but the series and fft_len, which is a
-///    function of m alone), and every reduction that is order-sensitive
-///    (telemetry, ++-seeding totals, shape accumulation, empty-cluster
-///    repair) runs in global index order. The equivalence suite in
-///    tests/minibatch_kshape_test.cc pins this contract.
+///  - Exact (minibatch_size == 0): every iteration is a full pass. The run
+///    is bit-identical to the in-memory KShape on the same series — same
+///    labels, same centroids, same iteration count, same distance telemetry
+///    — at every thread count, SIMD backend, spectrum layout, pruning
+///    setting, and shard geometry, because both run the same driver and the
+///    driver's result does not depend on the block cut. The equivalence
+///    suite in tests/minibatch_kshape_test.cc pins this contract.
 ///
-///  - Mini-batch (minibatch_size B > 0 and the gate on): most iterations
+///  - Mini-batch (minibatch_size B > 0): most iterations
 ///    draw a seeded uniform sample of B series (Floyd's algorithm on the
 ///    coordinating thread, so the draw is thread-count-invariant), refine
 ///    centroids from the sampled members only, and reassign only the
@@ -57,9 +52,9 @@ namespace kshape::cluster {
 /// draws; 0 in exact mode). AssignmentIterationStats entries for sampled
 /// iterations partition B*k candidates instead of n*k.
 ///
-/// The driver requires the cached-SBD configuration: use_spectrum_cache on
-/// and no custom assignment_distance (both are KSHAPE_CHECKed — streaming
-/// shards IS the spectrum-cache path).
+/// The sharded source requires the cached-SBD configuration:
+/// use_spectrum_cache on and no custom assignment_distance (both are
+/// KSHAPE_CHECKed — streaming shards IS the spectrum-cache path).
 class MiniBatchKShape {
  public:
   explicit MiniBatchKShape(core::KShapeOptions options = {});

@@ -42,7 +42,9 @@ struct KShapeOptions {
   /// path within a tight tolerance (not bitwise — see core/sbd_engine.h), and
   /// the cached pipeline itself stays bit-identical at every thread count.
   /// Ignored when `assignment_distance` is set (the engine only accelerates
-  /// SBD). False forces the per-pair Sbd() path, kept for ablation benches.
+  /// SBD). False makes the direct Sbd() the assignment distance — the same
+  /// no-engine configuration as a custom `assignment_distance` — kept for
+  /// ablation benches.
   bool use_spectrum_cache = true;
 
   /// When true (default), the spectrum cache stores packed half spectra
@@ -95,15 +97,16 @@ struct KShapeOptions {
   /// it exists to measure (and test) label agreement of the bounds.
   bool verify_pruning = false;
 
-  // --- Out-of-core / mini-batch options, consumed by the sharded driver
-  // (cluster::MiniBatchKShape over a store::ShardedSeriesStore). The
-  // in-memory KShape ignores all four.
+  // --- Out-of-core / mini-batch options, consumed only by
+  // cluster::MiniBatchKShape over a store::ShardedSeriesStore. KShape runs
+  // the same driver over its in-memory batch as one block but always in
+  // exact mode, so it ignores all four.
 
-  /// Mini-batch size B: when > 0 AND the process-wide KSHAPE_SHARDS gate is
-  /// on, most sharded iterations sample B series (without replacement,
-  /// seeded from the run's rng) and run refinement + assignment on the
-  /// sample only; a full exact pass runs every `refresh_period` iterations
-  /// (and on the final one), which is also where convergence is checked.
+  /// Mini-batch size B: when > 0 (and below the corpus size), most sharded
+  /// iterations sample B series (without replacement, seeded from the run's
+  /// rng) and run refinement + assignment on the sample only; a full exact
+  /// pass runs every `refresh_period` iterations (and on the final one),
+  /// which is also where convergence is checked.
   /// 0 (the default) disables sampling entirely: every iteration is a full
   /// pass, and the sharded run reproduces the in-memory KShape bit for bit.
   std::size_t minibatch_size = 0;
@@ -132,6 +135,9 @@ struct KShapeOptions {
 /// reference. Runs until the assignment reaches a fixed point or
 /// `max_iterations` is hit. O(max{n k m log m, n m^2, k m^3}) per iteration
 /// — linear in the number of series (§3.3).
+///
+/// A facade over the one k-Shape driver (core/kshape_driver.h), which sees
+/// the in-memory batch as a single always-resident block.
 class KShape : public cluster::ClusteringAlgorithm {
  public:
   explicit KShape(KShapeOptions options = {});

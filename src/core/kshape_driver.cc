@@ -1,0 +1,325 @@
+#include "core/kshape_driver.h"
+
+#include <algorithm>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "common/check.h"
+#include "common/parallel.h"
+#include "common/stopwatch.h"
+#include "core/sbd.h"
+#include "core/shape_extraction.h"
+#include "fft/fft.h"
+#include "fft/rfft.h"
+#include "model/assigner.h"
+
+namespace kshape::core {
+
+namespace {
+
+// The per-index work of a ++ scan is one distance; grain 16 amortizes
+// chunk-claiming over it. Chunking does not affect results (disjoint writes
+// of pure per-index values), so any block cut lands on the same bits.
+constexpr std::size_t kScanGrain = 16;
+
+// Copies global row i (the copy owns its samples, so a later Block() call
+// that evicts the row's block cannot invalidate it).
+tseries::Series CopyRow(BlockSource* source, std::size_t i) {
+  const SeriesBlock block = source->Block(source->BlockOfRow(i));
+  const tseries::SeriesView row = block.batch[i - block.base];
+  return tseries::Series(row.begin(), row.end());
+}
+
+// k-means++-style seeding under SBD: D² sampling of k seed series, then a
+// nearest-seed initial assignment. Each seed's spectrum is minted once
+// (MakeQueryFor) and streamed against every block engine; without engines
+// each distance is a direct Sbd(). The distance scans run on the pool with
+// disjoint writes; the rng-driven sampling between scans stays on the
+// coordinating thread and `total` is reduced over d2 in index order, so the
+// seeding consumes the same random stream and picks the same seeds at every
+// thread count and block cut.
+std::vector<int> PlusPlusSeeding(BlockSource* source, int k, common::Rng* rng,
+                                 bool engines, std::size_t fft_len,
+                                 bool half) {
+  const std::size_t n = source->size();
+  const std::size_t m = source->length();
+  std::vector<double> d2(n);  // squared SBD to the nearest chosen seed
+  std::vector<int> nearest(n, 0);
+
+  const auto scan = [&](std::size_t seed, int seed_index) {
+    const tseries::Series seed_row = CopyRow(source, seed);
+    SbdEngine::Query q;
+    if (engines) {
+      q = SbdEngine::MakeQueryFor(seed_row, m, fft_len, half,
+                                  /*build_bound_planes=*/false);
+    }
+    for (std::size_t b = 0; b < source->num_blocks(); ++b) {
+      const SeriesBlock block = source->Block(b);
+      common::ParallelFor(0, block.batch.size(), kScanGrain,
+                          [&](std::size_t begin, std::size_t end) {
+        for (std::size_t r = begin; r < end; ++r) {
+          const double d = engines ? block.engine->Distance(q, r)
+                                   : Sbd(seed_row, block.batch[r]).distance;
+          const std::size_t i = block.base + r;
+          if (seed_index == 0) {
+            d2[i] = d * d;
+          } else if (d * d < d2[i]) {
+            d2[i] = d * d;
+            nearest[i] = seed_index;
+          }
+        }
+      });
+    }
+  };
+
+  scan(static_cast<std::size_t>(rng->UniformInt(static_cast<int>(n))), 0);
+  for (int seed_index = 1; seed_index < k; ++seed_index) {
+    double total = 0.0;
+    for (double v : d2) total += v;
+    std::size_t pick = 0;
+    if (total <= 0.0) {
+      // All series coincide with a seed; any unused index works.
+      pick = static_cast<std::size_t>(rng->UniformInt(static_cast<int>(n)));
+    } else {
+      double threshold = rng->Uniform() * total;
+      for (std::size_t i = 0; i < n; ++i) {
+        threshold -= d2[i];
+        if (threshold <= 0.0) {
+          pick = i;
+          break;
+        }
+      }
+    }
+    scan(pick, seed_index);
+  }
+  return nearest;
+}
+
+// Floyd's uniform sample of `b` distinct indices from [0, n), returned
+// sorted ascending. Consumes exactly b UniformInt draws on the calling
+// (coordinating) thread, so the sample — and everything downstream of it —
+// is a pure function of the rng state, independent of thread count.
+std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
+                                                  std::size_t b,
+                                                  common::Rng* rng) {
+  KSHAPE_CHECK(b <= n);
+  std::unordered_set<std::size_t> chosen;
+  chosen.reserve(b * 2);
+  for (std::size_t t = n - b; t < n; ++t) {
+    const std::size_t r = static_cast<std::size_t>(
+        rng->UniformInt(static_cast<int>(t + 1)));
+    chosen.insert(chosen.count(r) ? t : r);
+  }
+  std::vector<std::size_t> sample(chosen.begin(), chosen.end());
+  std::sort(sample.begin(), sample.end());
+  return sample;
+}
+
+// Calls fn(block, pos, stop) for each block holding sampled rows, where
+// sample[pos, stop) are that block's rows. `sample` is sorted, so blocks are
+// visited in ascending order.
+template <typename Fn>
+void ForEachSampledBlock(BlockSource* source,
+                         const std::vector<std::size_t>& sample, Fn fn) {
+  std::size_t pos = 0;
+  while (pos < sample.size()) {
+    const SeriesBlock block = source->Block(source->BlockOfRow(sample[pos]));
+    const std::size_t block_end = block.base + block.batch.size();
+    std::size_t stop = pos;
+    while (stop < sample.size() && sample[stop] < block_end) ++stop;
+    fn(block, pos, stop);
+    pos = stop;
+  }
+}
+
+}  // namespace
+
+EngineConfig EngineConfigFor(const KShapeOptions& options) {
+  EngineConfig config;
+  config.half_spectrum =
+      options.use_half_spectrum && fft::HalfSpectrumEnabled();
+  config.bound_planes = options.use_pruning && PruningEnabled();
+  return config;
+}
+
+cluster::ClusteringResult RunKShapeDriver(
+    BlockSource* source, int k, common::Rng* rng,
+    const KShapeOptions& options, bool minibatch,
+    const distance::DistanceMeasure* distance) {
+  KSHAPE_CHECK(source != nullptr && rng != nullptr);
+  const std::size_t n = source->size();
+  const std::size_t m = source->length();
+  KSHAPE_CHECK(n >= 1 && m >= 1);
+  KSHAPE_CHECK(k >= 1 && static_cast<std::size_t>(k) <= n);
+  const bool engines = distance == nullptr;
+  const EngineConfig config = EngineConfigFor(options);
+  const bool half = engines && config.half_spectrum;
+  const bool pruning = engines && config.bound_planes;
+  const std::size_t fft_len = engines ? fft::NextPowerOfTwo(2 * m - 1) : 0;
+  const bool sampling = minibatch && options.minibatch_size > 0 &&
+                        options.minibatch_size < n;
+  KSHAPE_CHECK_MSG(engines || !sampling,
+                   "mini-batch sampling needs the spectrum-cache path");
+
+  cluster::ClusteringResult result;
+  result.assignments =
+      options.init == KShapeInit::kPlusPlusSeeding
+          ? PlusPlusSeeding(source, k, rng, engines, fft_len, half)
+          : cluster::RandomAssignments(n, k, rng);
+  result.centroids.assign(k, tseries::Series(m, 0.0));
+
+  // Hamerly movement bounds run only on all-full-pass schedules: their
+  // per-series state assumes every series sees every centroid update, which
+  // sampled iterations violate. The stateless spectral early-abandon layer
+  // stays on whenever pruning is.
+  const bool bounds = pruning && !sampling;
+  model::AssignerOptions assigner_options;
+  assigner_options.k = k;
+  assigner_options.num_series = n;
+  assigner_options.m = m;
+  assigner_options.fft_len = fft_len;
+  assigner_options.use_half_spectrum = half;
+  assigner_options.use_pruning = pruning;
+  assigner_options.use_movement_bounds = bounds;
+  assigner_options.prune_margin = options.prune_margin;
+  assigner_options.verify = bounds && options.verify_pruning;
+  model::Assigner assigner(assigner_options);
+
+  // Distance of global series i to centroid j, for the repair scan (which
+  // visits rows in ascending order, so a store-backed source loads each
+  // block at most once per empty cluster).
+  const auto repair_distance = [&](int j, std::size_t i) {
+    const SeriesBlock block = source->Block(source->BlockOfRow(i));
+    const std::size_t r = i - block.base;
+    return engines
+               ? block.engine->Distance(assigner.queries()[j], r)
+               : distance->Distance(result.centroids[j], block.batch[r]);
+  };
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const std::vector<int> previous = result.assignments;
+    const bool full_pass = !sampling ||
+                           (iter + 1) % options.refresh_period == 0 ||
+                           iter + 1 == options.max_iterations;
+
+    // Sample draw (coordinating thread, before any parallel work).
+    std::vector<std::size_t> sample;
+    if (!full_pass) {
+      sample = SampleWithoutReplacement(n, options.minibatch_size, rng);
+      result.sampled_series += static_cast<long long>(sample.size());
+    }
+
+    assigner.SnapshotCentroids(result.centroids);
+
+    // Refinement (Algorithm 3, lines 5-10): one ShapeAccumulator per
+    // cluster, aligned toward the previous centroid and fed in global index
+    // order, then Finish in cluster order so any cold-start rng draws replay
+    // identically. The accumulators take the caller's shape options verbatim;
+    // no pool cap is derived from the block geometry, since a
+    // geometry-dependent spill would make results depend on the block cut.
+    // A degenerate extraction (all members zero-norm) keeps the zero
+    // centroid as its documented representative and is surfaced via the
+    // result flag.
+    common::Stopwatch phase_clock;
+    {
+      std::vector<ShapeAccumulator> accumulators;
+      accumulators.reserve(k);
+      for (int j = 0; j < k; ++j) {
+        accumulators.emplace_back(result.centroids[j], options.shape_options);
+      }
+      if (full_pass) {
+        for (std::size_t b = 0; b < source->num_blocks(); ++b) {
+          const SeriesBlock block = source->Block(b);
+          for (std::size_t r = 0; r < block.batch.size(); ++r) {
+            accumulators[result.assignments[block.base + r]].Add(
+                block.batch[r]);
+          }
+        }
+      } else {
+        ForEachSampledBlock(source, sample,
+                            [&](const SeriesBlock& block, std::size_t pos,
+                                std::size_t stop) {
+          for (; pos < stop; ++pos) {
+            accumulators[result.assignments[sample[pos]]].Add(
+                block.batch[sample[pos] - block.base]);
+          }
+        });
+      }
+      result.degenerate_centroids = 0;
+      for (int j = 0; j < k; ++j) {
+        const bool had_members = accumulators[j].members_added() > 0;
+        // No sampled member is not evidence the cluster is empty: keep the
+        // previous centroid instead of degenerate-zeroing it.
+        if (!full_pass && !had_members) continue;
+        ExtractedShape extracted =
+            accumulators[j].Finish(rng, options.shape_options);
+        result.centroids[j] = std::move(extracted.centroid);
+        if (extracted.degenerate && had_members) {
+          ++result.degenerate_centroids;
+        }
+      }
+    }
+    result.extraction_seconds += phase_clock.ElapsedSeconds();
+    phase_clock.Reset();
+
+    // Assignment (Algorithm 3, lines 11-17), delegated to the Assigner.
+    // BeginIteration mints this iteration's centroid queries once (shared by
+    // every block engine) and derives the movement-bound shifts; blocks
+    // stream on the coordinating thread in ascending order, rows fan out on
+    // the pool inside the Assigner with disjoint writes.
+    assigner.BeginIteration(result.centroids);
+    if (!full_pass) {
+      ForEachSampledBlock(source, sample,
+                          [&](const SeriesBlock& block, std::size_t pos,
+                              std::size_t stop) {
+        assigner.AssignSample(*block.engine, block.base, sample, pos, stop,
+                              &result.assignments);
+      });
+    } else {
+      for (std::size_t b = 0; b < source->num_blocks(); ++b) {
+        const SeriesBlock block = source->Block(b);
+        if (engines) {
+          assigner.AssignBlock(*block.engine, block.base,
+                               &result.assignments);
+        } else {
+          assigner.AssignBlockWith(
+              [&](int j, std::size_t i) {
+                return distance->Distance(result.centroids[j],
+                                          block.batch[i - block.base]);
+              },
+              block.base, block.batch.size(), &result.assignments);
+        }
+      }
+    }
+    const cluster::AssignmentIterationStats stats =
+        assigner.iteration_stats();
+    result.pruned_label_mismatches += assigner.iteration_verify_mismatches();
+    result.assignment_stats.push_back(stats);
+    result.distances_computed += stats.computed;
+    result.distances_pruned_bounds += stats.pruned_bounds;
+    result.distances_abandoned_partial += stats.abandoned_partial;
+
+    // Re-seed clusters that lost all members with the series farthest from
+    // its current centroid (shared policy — see RepairEmptyClusters for the
+    // tie-break contract). Sizes are counted first, so a run with no empty
+    // cluster costs no block traffic here.
+    const int reseeds =
+        cluster::RepairEmptyClusters(k, &result.assignments, repair_distance);
+    result.empty_cluster_reseeds += reseeds;
+    assigner.FinishIteration(reseeds);
+    result.assignment_seconds += phase_clock.ElapsedSeconds();
+
+    result.iterations = iter + 1;
+    // Convergence is declared on full passes only: a sampled iteration
+    // leaves most assignments untouched, so assignment equality there says
+    // nothing about a corpus-wide fixed point.
+    if (full_pass && result.assignments == previous) {
+      result.converged = true;
+      break;
+    }
+  }
+  return result;
+}
+
+}  // namespace kshape::core

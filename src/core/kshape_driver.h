@@ -1,0 +1,95 @@
+// The k-Shape iteration protocol (Algorithm 3), written once.
+//
+// KShape (one in-memory block) and MiniBatchKShape (one block per shard of a
+// ShardedSeriesStore) are facades over RunKShapeDriver: they differ only in
+// the BlockSource they present. The driver owns everything else —
+// initialization (random assignment or ++ D² seeding), the per-iteration
+// Assigner protocol (SnapshotCentroids → refinement → BeginIteration →
+// AssignBlock per block → RepairEmptyClusters → FinishIteration), shape
+// refinement through one ShapeAccumulator per cluster fed in global index
+// order, and the mini-batch schedule.
+//
+// Every order-sensitive reduction (the ++ D² totals, accumulator feeding,
+// telemetry, repair) runs in global index order, and every engine of a run
+// shares one configuration (see EngineConfigFor), so the result does not
+// depend on how the corpus is cut into blocks: a store of any shard geometry
+// reproduces the single-block run bit for bit.
+
+#ifndef KSHAPE_CORE_KSHAPE_DRIVER_H_
+#define KSHAPE_CORE_KSHAPE_DRIVER_H_
+
+#include <cstddef>
+
+#include "cluster/algorithm.h"
+#include "common/random.h"
+#include "core/kshape.h"
+#include "core/sbd_engine.h"
+#include "distance/measure.h"
+#include "tseries/time_series.h"
+
+namespace kshape::core {
+
+/// One contiguous run of the corpus as the driver sees it.
+struct SeriesBlock {
+  /// The block's rows; row r is global series `base + r`.
+  tseries::SeriesBatch batch;
+  std::size_t base = 0;
+  /// Cached spectra of `batch`, or null in the no-engine configuration
+  /// (a custom assignment distance, or the spectrum cache turned off).
+  const SbdEngine* engine = nullptr;
+};
+
+/// The corpus, cut into blocks of ascending global base. Called from the
+/// coordinating thread only.
+class BlockSource {
+ public:
+  virtual ~BlockSource() = default;
+
+  /// Number of series n and their common length m.
+  virtual std::size_t size() const = 0;
+  virtual std::size_t length() const = 0;
+
+  virtual std::size_t num_blocks() const = 0;
+
+  /// Block b. The returned views stay valid until the next Block() call
+  /// (a store-backed source may evict the previous block to load this one).
+  virtual SeriesBlock Block(std::size_t b) = 0;
+
+  /// The block holding global row i.
+  virtual std::size_t BlockOfRow(std::size_t i) const = 0;
+};
+
+/// The engine configuration every block engine of one run must share, so the
+/// centroid queries the Assigner mints once per iteration are valid against
+/// every block (the SbdEngine::MakeQueryFor interchange contract).
+struct EngineConfig {
+  bool half_spectrum = true;
+  /// Bound planes for pruning; set exactly when pruning is on.
+  bool bound_planes = true;
+};
+
+/// Resolves the options against the process-wide spectrum-layout and
+/// pruning gates.
+EngineConfig EngineConfigFor(const KShapeOptions& options);
+
+/// Runs Algorithm 3 over `source`.
+///
+/// `distance` selects the configuration: null means SBD through the block
+/// engines (which must all be non-null, built with EngineConfigFor(options));
+/// non-null means every assignment and repair distance is
+/// distance->Distance(centroid, series), blocks carry no engines, pruning is
+/// off, and ++ seeding uses the direct Sbd().
+///
+/// `minibatch` enables the sampled schedule of KShapeOptions::minibatch_size
+/// (engine configuration only); when false the four mini-batch options are
+/// ignored and every iteration is a full pass.
+///
+/// The result carries no fitted model; the facade attaches it.
+cluster::ClusteringResult RunKShapeDriver(
+    BlockSource* source, int k, common::Rng* rng,
+    const KShapeOptions& options, bool minibatch,
+    const distance::DistanceMeasure* distance);
+
+}  // namespace kshape::core
+
+#endif  // KSHAPE_CORE_KSHAPE_DRIVER_H_

@@ -46,30 +46,13 @@ void CenterGramInPlace(linalg::Matrix* s_ptr) {
   }
 }
 
-ExtractedShape ExtractShapeImpl(
-    const std::vector<tseries::SeriesView>& members,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options) {
-  KSHAPE_CHECK(rng != nullptr);
-  if (members.empty()) {
-    ExtractedShape result;
-    result.centroid = tseries::Series(reference.size(), 0.0);
-    result.degenerate = true;
-    return result;
-  }
-  ShapeAccumulator accumulator(reference, options);
-  for (tseries::SeriesView member : members) accumulator.Add(member);
-  return accumulator.Finish(rng, options);
-}
-
 }  // namespace
 
 ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
                                    const ShapeExtractionOptions& options)
     : reference_(reference.begin(), reference.end()),
       align_(linalg::Norm(reference) > 0.0),
-      pool_mode_(options.use_matrix_free && options.use_power_iteration &&
-                 MatrixFreeEnabled()),
+      pool_mode_(options.use_matrix_free && options.use_power_iteration),
       max_pool_rows_(options.matrix_free_max_members),
       mean_(reference.size(), 0.0) {
   KSHAPE_CHECK_MSG(!reference_.empty(), "empty shape-extraction reference");
@@ -200,7 +183,7 @@ ExtractedShape ShapeAccumulator::FinishMatrixFree(
   // per power step, the Gram never formed. The pool holds exactly the
   // non-degenerate aligned rows, so S here is the same sum the Gram path
   // accumulates (up to summation order — the epsilon-level difference the
-  // gate-equivalence tests allow for).
+  // matrix-free equivalence tests allow for).
   linalg::RowPoolMatVec pool_op(pool_.data(), pool_.size(), m);
   std::vector<double> centered(m);
   const linalg::MatVecFn matvec = [&](const std::vector<double>& v,
@@ -244,38 +227,20 @@ tseries::Series ExtractShape(const tseries::SeriesBatch& members,
   return ExtractShapeFlagged(members, reference, rng, options).centroid;
 }
 
-tseries::Series ExtractShapeIndexed(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options) {
-  return ExtractShapeIndexedFlagged(pool, member_indices, reference, rng,
-                                    options)
-      .centroid;
-}
-
 ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
                                    tseries::SeriesView reference,
                                    common::Rng* rng,
                                    const ShapeExtractionOptions& options) {
-  std::vector<tseries::SeriesView> views;
-  views.reserve(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) views.push_back(members[i]);
-  return ExtractShapeImpl(views, reference, rng, options);
-}
-
-ExtractedShape ExtractShapeIndexedFlagged(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options) {
-  std::vector<tseries::SeriesView> views;
-  views.reserve(member_indices.size());
-  for (std::size_t idx : member_indices) {
-    KSHAPE_CHECK(idx < pool.size());
-    views.push_back(pool[idx]);
+  KSHAPE_CHECK(rng != nullptr);
+  if (members.empty()) {
+    ExtractedShape result;
+    result.centroid = tseries::Series(reference.size(), 0.0);
+    result.degenerate = true;
+    return result;
   }
-  return ExtractShapeImpl(views, reference, rng, options);
+  ShapeAccumulator accumulator(reference, options);
+  for (std::size_t i = 0; i < members.size(); ++i) accumulator.Add(members[i]);
+  return accumulator.Finish(rng, options);
 }
 
 }  // namespace kshape::core

@@ -6,20 +6,9 @@
 
 #include "common/random.h"
 #include "linalg/matrix.h"
-#include "linalg/row_pool.h"
 #include "tseries/time_series.h"
 
 namespace kshape::core {
-
-/// The process-wide KSHAPE_MATFREE gate (see linalg/row_pool.h — it lives
-/// beneath core because the KSC centroid consults it too). "off" forces the
-/// dense Gram path everywhere, bit-identically to the pre-matrix-free
-/// implementation; the CI matrix runs a KSHAPE_MATFREE=off leg against the
-/// same tests to hold that equivalence.
-inline bool MatrixFreeEnabled() { return linalg::MatrixFreeEnabled(); }
-inline void SetMatrixFreeEnabledForTesting(bool enabled) {
-  linalg::SetMatrixFreeEnabledForTesting(enabled);
-}
 
 /// Options for ExtractShape.
 struct ShapeExtractionOptions {
@@ -42,18 +31,18 @@ struct ShapeExtractionOptions {
   /// eigensolver's tolerance.
   bool warm_start = true;
 
-  /// When true (default) — and the process-wide KSHAPE_MATFREE gate agrees —
-  /// the eigenproblem runs matrix-free: members are pooled as aligned
-  /// z-normalized rows (O(n_c·m) memory) instead of being folded into the
-  /// m×m Gram matrix S, and each power-iteration step applies
+  /// When true (default), the eigenproblem runs matrix-free: members are
+  /// pooled as aligned z-normalized rows (O(n_c·m) memory) instead of being
+  /// folded into the m×m Gram matrix S, and each power-iteration step applies
   /// M·v = Q(Σ yᵢ(yᵢ·(Qv))) with the rank-one centering Qv = v − mean(v)·1
   /// in O(n_c·m) — versus O(n_c·m²) to accumulate S plus O(m²) per step.
   /// With warm starts converging in ~5–20 steps this is an ~m/iters win on
   /// the extraction phase. The matrix-free and Gram paths agree to epsilon
   /// (different summation order), not bitwise; end-to-end labels match in
-  /// practice (pinned by the gate-equivalence tests). Only applies on the
-  /// power-iteration path — the full-eigensolver ablation needs the dense
-  /// matrix regardless.
+  /// practice (pinned by the on-vs-off equivalence tests). False keeps the
+  /// dense Gram path, bit-identically to the crossover and spill below. Only
+  /// applies on the power-iteration path — the full-eigensolver ablation
+  /// needs the dense matrix regardless.
   bool use_matrix_free = true;
 
   /// Crossover: clusters with fewer than this many contributing members take
@@ -94,14 +83,6 @@ tseries::Series ExtractShape(const tseries::SeriesBatch& members,
                              common::Rng* rng,
                              const ShapeExtractionOptions& options = {});
 
-/// Convenience overload for extracting the shape of members selected from a
-/// larger pool by index (no copies: views straight into the pool's storage).
-tseries::Series ExtractShapeIndexed(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options = {});
-
 /// The result of a flagged shape extraction: the centroid plus an explicit
 /// repair signal for degenerate member sets.
 struct ExtractedShape {
@@ -127,25 +108,18 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
                                    common::Rng* rng,
                                    const ShapeExtractionOptions& options = {});
 
-/// Indexed variant of ExtractShapeFlagged.
-ExtractedShape ExtractShapeIndexedFlagged(
-    const tseries::SeriesBatch& pool,
-    const std::vector<std::size_t>& member_indices,
-    tseries::SeriesView reference, common::Rng* rng,
-    const ShapeExtractionOptions& options = {});
-
 /// Streaming shape extraction: the member loop of Algorithm 2 decoupled from
 /// member storage, so a caller that cannot hold (or even view) all members at
-/// once — the sharded out-of-core driver streaming one shard at a time — can
-/// feed them incrementally and Finish() into the same eigenproblem.
+/// once — the k-Shape driver streaming members block by block, in global
+/// index order — can feed them incrementally and Finish() into the same
+/// eigenproblem.
 ///
 /// The batch entry points above are implemented on this class, so streaming
 /// members in the same order they'd appear in a batch produces bit-identical
-/// centroids to ExtractShapeFlagged — the equivalence the sharded-vs-
-/// contiguous clustering tests rely on.
+/// centroids to ExtractShapeFlagged.
 ///
-/// Storage mode is fixed at construction from the options and the
-/// KSHAPE_MATFREE gate. In matrix-free mode the accumulator stores the
+/// Storage mode is fixed at construction from the options. In matrix-free
+/// mode the accumulator stores the
 /// aligned z-normalized members in a contiguous row-major pool (the m×m Gram
 /// is never allocated) and Finish power-iterates through
 /// linalg::DominantEigenvectorOp with a deterministic fan-out over member
@@ -164,7 +138,7 @@ class ShapeAccumulator {
   /// `reference` must be non-empty; its length fixes the member length. A
   /// zero-norm reference (the all-zero initial centroid) disables alignment,
   /// as in ExtractShape. `options` selects the storage mode (matrix-free
-  /// pool vs dense Gram) together with the process-wide gate.
+  /// pool vs dense Gram).
   explicit ShapeAccumulator(tseries::SeriesView reference,
                             const ShapeExtractionOptions& options = {});
 

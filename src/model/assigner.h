@@ -1,24 +1,24 @@
 // The assign-series-to-centroids step, extracted into one implementation.
 //
-// Before this layer existed the scan lived in three copies: the k-Shape
-// iteration loop (src/core/kshape.cc), the streamed/sampled mini-batch driver
-// (src/cluster/minibatch_kshape.cc), and the classify-against-candidates path
-// behind the SBD BatchScanner (src/core/sbd.cc). All three now route through
-// Assigner, so the pruning layers — spectral early-abandon NCC and the
-// Hamerly-style movement bounds — and the telemetry partition are defined
-// exactly once.
+// Before this layer existed the scan lived in three copies: the in-memory
+// k-Shape loop, the streamed/sampled mini-batch loop (since merged into the
+// one k-Shape driver, src/core/kshape_driver.cc), and the
+// classify-against-candidates path behind the SBD BatchScanner
+// (src/core/sbd.cc). All of them now route through Assigner, so the pruning
+// layers — spectral early-abandon NCC and the Hamerly-style movement
+// bounds — and the telemetry partition are defined exactly once.
 //
 // Ownership rules:
 //   - The Assigner owns the per-iteration centroid queries (minted in
 //     BeginIteration), the movement-bound state (ub/lb/shift arrays), and the
 //     per-series telemetry cells. Callers own the centroids, the assignment
 //     vector, and the engines.
-//   - Engines are passed per block: the in-memory drivers pass one engine
-//     with base 0, the sharded driver passes each shard's engine with the
-//     shard's global base row. All engines of one clustering run must share
-//     one configuration (m, fft_len, spectrum layout, bound planes) — the
-//     MakeQueryFor interchange contract — which is what makes the minted
-//     queries valid against every block.
+//   - Engines are passed per block: the k-Shape driver passes one engine
+//     with base 0 for an in-memory batch and each shard's engine with the
+//     shard's global base row for a sharded store. All engines of one
+//     clustering run must share one configuration (m, fft_len, spectrum
+//     layout, bound planes) — the MakeQueryFor interchange contract — which
+//     is what makes the minted queries valid against every block.
 //   - The iteration protocol is: SnapshotCentroids (before refinement) →
 //     BeginIteration (after refinement) → AssignBlock/AssignSample per block
 //     → read iteration_stats() → FinishIteration(reseeds). Blocks must be

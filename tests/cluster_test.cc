@@ -17,6 +17,7 @@
 #include "distance/dtw.h"
 #include "distance/euclidean.h"
 #include "eval/metrics.h"
+#include "fft/rfft.h"
 #include "tseries/normalization.h"
 
 namespace kshape::cluster {
@@ -387,6 +388,102 @@ TEST(KscTest, RecoversScaledShiftedClusters) {
     total += eval::RandIndex(labels, result.assignments);
   }
   EXPECT_GT(total / runs, 0.8);
+}
+
+// Small-integer (ternary) series: the time-domain KSC alignment evaluates
+// their shifted dot products exactly, so exact shift ties are common — the
+// inputs on which two alignment arithmetics are most likely to part ways.
+std::vector<Series> TernaryCorpus(std::size_t n, std::size_t m,
+                                  common::Rng* rng) {
+  std::vector<Series> series(n, Series(m));
+  for (Series& s : series) {
+    for (double& v : s) v = rng->UniformInt(3) - 1;
+  }
+  return series;
+}
+
+// Restores the process-wide spectrum-layout gate.
+class HalfSpectrumGateGuard {
+ public:
+  HalfSpectrumGateGuard() : saved_(fft::HalfSpectrumEnabled()) {}
+  ~HalfSpectrumGateGuard() { fft::SetHalfSpectrumEnabledForTesting(saved_); }
+
+ private:
+  bool saved_;
+};
+
+TEST(KscTest, ClusterIgnoresTheSpectrumLayoutGate) {
+  // use_fft_alignment is KSC's only alignment switch: the spectrum-layout
+  // gate must not silently swap in the O(m^2) time-domain arithmetic, whose
+  // tie-breaks differ from the FFT path's on inputs like these.
+  HalfSpectrumGateGuard guard;
+  const Ksc ksc;
+  for (const std::size_t m : {16u, 32u}) {
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      common::Rng corpus_rng(seed);
+      const std::vector<Series> series = TernaryCorpus(30, m, &corpus_rng);
+      fft::SetHalfSpectrumEnabledForTesting(true);
+      common::Rng rng_on(seed + 100);
+      const ClusteringResult on = ksc.Cluster(series, 3, &rng_on);
+      fft::SetHalfSpectrumEnabledForTesting(false);
+      common::Rng rng_off(seed + 100);
+      const ClusteringResult off = ksc.Cluster(series, 3, &rng_off);
+      EXPECT_EQ(on.assignments, off.assignments)
+          << "m=" << m << " seed=" << seed;
+      EXPECT_EQ(on.iterations, off.iterations) << "m=" << m << " seed=" << seed;
+      EXPECT_EQ(on.centroids, off.centroids) << "m=" << m << " seed=" << seed;
+    }
+  }
+}
+
+// The KSC distance of y shifted by q toward x, in the time domain.
+double KscDistanceAtShift(const Series& x, const Series& y, int q) {
+  const Series yq = tseries::ShiftWithZeroFill(y, q);
+  double xx = 0.0, xy = 0.0, yy = 0.0;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    xx += x[t] * x[t];
+    xy += x[t] * yq[t];
+    yy += yq[t] * yq[t];
+  }
+  const double residual = yy > 0.0 ? xx - xy * xy / yy : xx;
+  return std::sqrt(std::max(0.0, residual) / xx);
+}
+
+TEST(KscDistanceTest, FftAlignmentMatchesTimeDomain) {
+  // KscAlignFft against KscAlign over seeded pairs: distance and scale agree
+  // to epsilon, and the shift is equal except at a certified near-tie — the
+  // time-domain distance at the FFT's shift within 1e-9 of the optimum.
+  constexpr double kEps = 1e-9;
+  common::Rng rng(31);
+  int near_ties = 0;
+  for (int pair = 0; pair < 200; ++pair) {
+    const std::size_t m = 8 + static_cast<std::size_t>(rng.UniformInt(57));
+    Series x(m), y(m);
+    if (pair % 2 == 0) {
+      for (double& v : x) v = rng.Gaussian();
+      for (double& v : y) v = rng.Gaussian();
+    } else {
+      x = TernaryCorpus(1, m, &rng)[0];
+      y = TernaryCorpus(1, m, &rng)[0];
+    }
+    const KscAlignment direct = KscAlign(x, y);
+    const KscAlignment fft = KscAlignFft(x, y);
+    EXPECT_NEAR(fft.distance, direct.distance, kEps) << "pair=" << pair;
+    if (fft.shift == direct.shift) {
+      EXPECT_NEAR(fft.alpha, direct.alpha,
+                  kEps * std::max(1.0, std::abs(direct.alpha)))
+          << "pair=" << pair;
+    } else {
+      ++near_ties;
+      EXPECT_NEAR(KscDistanceAtShift(x, y, fft.shift),
+                  KscDistanceAtShift(x, y, direct.shift), kEps)
+          << "pair=" << pair << " shifts " << fft.shift << " vs "
+          << direct.shift;
+    }
+  }
+  // Ties are a property of the integer pairs only; the Gaussian half of the
+  // sweep never reaches this branch, so most pairs compare shifts exactly.
+  EXPECT_LT(near_ties, 20);
 }
 
 TEST(KDbaCombinationTest, ClustersShiftedBumps) {

@@ -13,10 +13,10 @@
 // On top of it: mini-batch mode is deterministic for a fixed seed across
 // threads / backends / shard geometry (the sample is drawn on the
 // coordinating thread), its telemetry partitions B*k on sampled iterations
-// and n*k on full passes, the KSHAPE_SHARDS gate forces the exact path, its
-// clustering quality tracks the exact run (ARI sweep over seeds and both
-// power-of-two and non-power-of-two lengths), and the TryCluster Status
-// boundary rejects malformed stores instead of aborting.
+// and n*k on full passes, its clustering quality tracks the exact run (ARI
+// sweep over seeds and both power-of-two and non-power-of-two lengths), and
+// the TryCluster Status boundary rejects malformed stores instead of
+// aborting.
 
 #include <cmath>
 #include <cstdint>
@@ -54,22 +54,19 @@ using store::ShardedSeriesStore;
 using tseries::Series;
 
 // Pins every process-wide gate to its documented default on entry (so a
-// CI leg exporting KSHAPE_SHARDS=off / KSHAPE_PRUNE=off cannot starve the
-// tests that need sampling or pruning active — each case states its own
-// configuration) and restores the defaults on exit, so cases can't leak
-// configuration into each other.
+// CI leg exporting KSHAPE_PRUNE=off cannot starve the tests that need
+// pruning active — each case states its own configuration) and restores the
+// defaults on exit, so cases can't leak configuration into each other.
 struct ConfigGuard {
   ConfigGuard() {
     core::SetPruningEnabledForTesting(true);
     fft::SetHalfSpectrumEnabledForTesting(true);
-    store::SetShardingEnabledForTesting(true);
   }
   ~ConfigGuard() {
     common::SetThreadCount(saved_threads);
     simd::SetBackendForTesting(saved_backend);
     core::SetPruningEnabledForTesting(true);
     fft::SetHalfSpectrumEnabledForTesting(true);
-    store::SetShardingEnabledForTesting(true);
   }
   int saved_threads = common::ThreadCount();
   simd::Backend saved_backend = simd::ActiveBackend();
@@ -323,27 +320,6 @@ TEST(MiniBatchKShapeTest, VerifyPruningSeesNoMismatchesSharded) {
 // ---------------------------------------------------------------------------
 // Mini-batch mode.
 // ---------------------------------------------------------------------------
-
-TEST(MiniBatchKShapeTest, ShardsGateOffForcesTheExactPath) {
-  ConfigGuard guard;
-  const std::size_t n = 30, m = 31;
-  const int k = 3;
-  const std::vector<Series> series = MakeCorpus(n, m, 61);
-
-  core::KShapeOptions exact = ShardedOptions(7, 4);
-  const auto [reference, ref_store] =
-      RunSharded(exact, series, k, 67, "gate_exact");
-
-  core::KShapeOptions minibatch = exact;
-  minibatch.minibatch_size = 8;
-  store::SetShardingEnabledForTesting(false);
-  const auto [result, store] =
-      RunSharded(minibatch, series, k, 67, "gate_off");
-  // With the gate off, minibatch_size is ignored: every iteration is a full
-  // pass and the run reproduces the exact one bit for bit.
-  ExpectBitIdentical(result, reference, "KSHAPE_SHARDS=off");
-  EXPECT_EQ(result.sampled_series, 0);
-}
 
 TEST(MiniBatchKShapeTest, SampledIterationTelemetryPartitionsBatchTimesK) {
   ConfigGuard guard;

@@ -166,10 +166,6 @@ TEST(ParallelInvarianceTest, MatrixFreeShapeExtraction) {
   // block partials is race-checked here too.
   const std::vector<Series> members = MakeSeries(48, 96, 17);
   const Series reference = tseries::ZNormalized(members[0]);
-  // Force the path under test even on the CI leg that exports
-  // KSHAPE_MATFREE=off for the rest of the suite.
-  const bool saved_gate = core::MatrixFreeEnabled();
-  core::SetMatrixFreeEnabledForTesting(true);
   {
     const core::ShapeAccumulator probe(reference);
     ASSERT_TRUE(probe.matrix_free_active());
@@ -187,7 +183,6 @@ TEST(ParallelInvarianceTest, MatrixFreeShapeExtraction) {
         warm ? "matrix-free extraction (warm)"
              : "matrix-free extraction (cold)");
   }
-  core::SetMatrixFreeEnabledForTesting(saved_gate);
 }
 
 TEST(ParallelInvarianceTest, SbdEnginePairwiseMatrix) {

@@ -113,23 +113,6 @@ TEST(ShapeExtractionTest, PowerIterationMatchesFullEigensolver) {
   }
 }
 
-TEST(ShapeExtractionTest, IndexedOverloadMatchesDirectCall) {
-  common::Rng rng(8);
-  std::vector<Series> pool;
-  for (int i = 0; i < 6; ++i) {
-    pool.push_back(tseries::ZNormalized(Sine(24, 1.0, 0.2 * i)));
-  }
-  common::Rng rng_a(9);
-  common::Rng rng_b(9);
-  const std::vector<Series> selected = {pool[1], pool[3], pool[5]};
-  const Series direct = ExtractShape(selected, Series(24, 0.0), &rng_a);
-  const Series indexed =
-      ExtractShapeIndexed(pool, {1, 3, 5}, Series(24, 0.0), &rng_b);
-  for (std::size_t t = 0; t < 24; ++t) {
-    EXPECT_NEAR(direct[t], indexed[t], 1e-12);
-  }
-}
-
 TEST(ShapeExtractionTest, BetterRepresentativeThanArithmeticMeanOnShifts) {
   // The motivating example of Figure 4: for out-of-phase members, the
   // arithmetic mean smears the shape while shape extraction keeps it sharp.
@@ -323,16 +306,6 @@ TEST(ShapeExtractionTest, AccumulatorFinishIsRepeatable) {
 // the m×m Gram never formed) — equivalence, determinism, and crossover.
 // ---------------------------------------------------------------------------
 
-// Restores the process-wide KSHAPE_MATFREE gate toggled by the tests below.
-class MatrixFreeGateGuard {
- public:
-  MatrixFreeGateGuard() : saved_(MatrixFreeEnabled()) {}
-  ~MatrixFreeGateGuard() { SetMatrixFreeEnabledForTesting(saved_); }
-
- private:
-  bool saved_;
-};
-
 class HalfSpectrumGateGuard {
  public:
   HalfSpectrumGateGuard() : saved_(fft::HalfSpectrumEnabled()) {}
@@ -382,10 +355,8 @@ TEST(MatrixFreeExtractionTest, MatchesGramPathAcrossConfigs) {
   // combination of thread count x SIMD backend x warm/cold start x spectrum
   // layout. Both paths are given identical RNG seeds; warm starts draw
   // nothing, cold starts draw the same start vector.
-  MatrixFreeGateGuard gate_guard;
   HalfSpectrumGateGuard spectrum_guard;
   SimdBackendGuard backend_guard;
-  SetMatrixFreeEnabledForTesting(true);
 
   const std::size_t m = 64;
   const std::vector<Series> members = NoisySineCorpus(24, m, 41);
@@ -429,9 +400,7 @@ TEST(MatrixFreeExtractionTest, BitIdenticalAcrossThreadCountsAndBackends) {
   // and the block partials reduce in a fixed order with no-FMA fixed-lane
   // kernels — so the centroid is bit-for-bit identical at any parallelism
   // level and across SIMD backends.
-  MatrixFreeGateGuard gate_guard;
   SimdBackendGuard backend_guard;
-  SetMatrixFreeEnabledForTesting(true);
 
   const std::size_t m = 96;
   const std::vector<Series> members = NoisySineCorpus(40, m, 47);
@@ -458,36 +427,25 @@ TEST(MatrixFreeExtractionTest, BitIdenticalAcrossThreadCountsAndBackends) {
   }
 }
 
-TEST(MatrixFreeExtractionTest, GateOffRestoresGramPathBitwise) {
-  // KSHAPE_MATFREE=off must force the Gram path process-wide: identical bits
-  // to use_matrix_free = false, and the accumulator must never enter pool
-  // mode regardless of the per-call option.
-  MatrixFreeGateGuard gate_guard;
+TEST(MatrixFreeExtractionTest, OptionsAloneSelectTheStorageMode) {
+  // The options are the only switch: the defaults pool members, while
+  // use_matrix_free = false and the full-eigensolver ablation keep the dense
+  // Gram from the first Add.
   const std::size_t m = 48;
-  const std::vector<Series> members = NoisySineCorpus(16, m, 59);
   const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.3));
-
-  SetMatrixFreeEnabledForTesting(true);
-  ShapeExtractionOptions gram_options;
-  gram_options.use_matrix_free = false;
-  const Series gram = ExtractWith(members, reference, 61, gram_options);
-
-  SetMatrixFreeEnabledForTesting(false);
-  ShapeAccumulator accumulator(reference);  // Default options: matrix-free.
-  EXPECT_FALSE(accumulator.matrix_free_active());
-  const Series gated = ExtractWith(members, reference, 61, {});
-  ASSERT_EQ(gated.size(), gram.size());
-  for (std::size_t t = 0; t < m; ++t) {
-    EXPECT_EQ(gated[t], gram[t]) << "t=" << t;
-  }
+  EXPECT_TRUE(ShapeAccumulator(reference).matrix_free_active());
+  ShapeExtractionOptions gram;
+  gram.use_matrix_free = false;
+  EXPECT_FALSE(ShapeAccumulator(reference, gram).matrix_free_active());
+  ShapeExtractionOptions full_eigen;
+  full_eigen.use_power_iteration = false;
+  EXPECT_FALSE(ShapeAccumulator(reference, full_eigen).matrix_free_active());
 }
 
 TEST(MatrixFreeExtractionTest, CrossoverBelowMinMembersMatchesGramBitwise) {
   // Small clusters pool their members but Finish crosses back to the dense
   // path: folding the pooled rows into the Gram in Add-order reproduces the
   // Gram-mode accumulation bit for bit, so the crossover is invisible.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
   const std::size_t m = 40;
   const std::vector<Series> members = NoisySineCorpus(5, m, 67);
   const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.4));
@@ -512,8 +470,6 @@ TEST(MatrixFreeExtractionTest, MaxMembersSpillMatchesGramBitwise) {
   // The memory bound: exceeding matrix_free_max_members folds the pool into
   // the Gram mid-accumulation. Same rows, same order — bit-identical to
   // having accumulated the Gram from the first Add.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
   const std::size_t m = 40;
   const std::vector<Series> members = NoisySineCorpus(12, m, 73);
   const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.5));
@@ -539,8 +495,6 @@ TEST(MatrixFreeExtractionTest, MaxMembersSpillMatchesGramBitwise) {
 TEST(MatrixFreeExtractionTest, DegenerateMembersAndZeroReferenceParity) {
   // Constant members (z-normalize to zero) are dropped by both storage
   // modes; a fully degenerate set yields the flagged zero centroid in both.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
   const std::size_t m = 32;
 
   // Fully degenerate: every member is constant.
@@ -582,14 +536,12 @@ TEST(MatrixFreeExtractionTest, InPlaceCenteringMatchesTwoBufferReference) {
   // mirror, write M_ij = S_ij - rowmean_i - colmean_j + grand into a FRESH
   // matrix, then solve. Same reads, same arithmetic, different destination —
   // the centroids must agree bit for bit.
-  MatrixFreeGateGuard gate_guard;
-  SetMatrixFreeEnabledForTesting(true);
   const std::size_t m = 36;
   const std::vector<Series> members = NoisySineCorpus(9, m, 101);
   const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.7));
 
-  // Production dense path (crossover keeps 9 < min_members pooled members on
-  // the Gram path even with the gate on).
+  // Production dense path (the crossover would keep these 9 < min_members
+  // pooled members on the Gram path even with matrix-free on).
   ShapeExtractionOptions dense;
   dense.use_matrix_free = false;
   const Series production = ExtractWith(members, reference, 103, dense);
@@ -636,13 +588,12 @@ TEST(MatrixFreeExtractionTest, InPlaceCenteringMatchesTwoBufferReference) {
   }
 }
 
-TEST(MatrixFreeExtractionTest, KShapeLabelParityAcrossGateSeedSweep) {
+TEST(MatrixFreeExtractionTest, KShapeLabelParityAcrossModeSeedSweep) {
   // End-to-end acceptance: over a sweep of clustering seeds, k-Shape with
   // matrix-free extraction produces EXACTLY the labels (and iteration
   // counts) of the Gram path — the epsilon-level centroid differences never
   // flip an assignment argmin on this corpus, so ARI between the two runs
   // is identically 1.
-  MatrixFreeGateGuard gate_guard;
   const std::size_t m = 64;
   std::vector<Series> series;
   common::Rng corpus_rng(107);
@@ -652,16 +603,17 @@ TEST(MatrixFreeExtractionTest, KShapeLabelParityAcrossGateSeedSweep) {
     series.push_back(tseries::ZNormalized(s));
   }
 
-  const KShape algorithm;
+  const KShape matrix_free;
+  KShapeOptions gram_options;
+  gram_options.shape_options.use_matrix_free = false;
+  const KShape gram(gram_options);
   for (const uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    SetMatrixFreeEnabledForTesting(true);
     common::Rng rng_on(seed);
-    const cluster::ClusteringResult on = algorithm.Cluster(series, 3, &rng_on);
+    const cluster::ClusteringResult on =
+        matrix_free.Cluster(series, 3, &rng_on);
 
-    SetMatrixFreeEnabledForTesting(false);
     common::Rng rng_off(seed);
-    const cluster::ClusteringResult off =
-        algorithm.Cluster(series, 3, &rng_off);
+    const cluster::ClusteringResult off = gram.Cluster(series, 3, &rng_off);
 
     EXPECT_EQ(on.assignments, off.assignments) << "seed=" << seed;
     EXPECT_EQ(on.iterations, off.iterations) << "seed=" << seed;
