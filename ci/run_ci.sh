@@ -38,9 +38,13 @@
 #    bound/telemetry cells + the KSHAPE_PRUNE gate atomics), the shard
 #    residency cache (generation stamps + eviction under churn), the
 #    sharded assignment fan-out (per-shard engines writing disjoint label
-#    ranges in parallel), and the matrix-free extraction matvec (parallel
+#    ranges in parallel), the matrix-free extraction matvec (parallel
 #    chunk fan-out writing disjoint partial blocks — RowPoolMatVec's
-#    determinism contract); fitted_model_test also runs under TSan because
+#    determinism contract), and the k-Shape driver's alignment-lag pre-pass
+#    (each block's member shifts from the cached NCC peaks, written
+#    disjointly on the pool before the sequential accumulator feed — the
+#    replay-parity test in shape_extraction_test runs it at 1/2/8
+#    threads); fitted_model_test also runs under TSan because
 #    Predict drives the Assigner's parallel assignment fan-out over a frozen
 #    model at multiple thread counts.
 # 4. AddressSanitizer+UBSan build; the robustness suites (degenerate inputs,
@@ -52,7 +56,9 @@
 #    truncated/corrupt shard handling), minibatch_kshape_test (sampled
 #    scatter indexing, streamed repair), shape_extraction_test (pooled-row
 #    and partial-block indexing on the matrix-free path, crossover/spill
-#    boundaries), and fitted_model_test (the .kmodel
+#    boundaries, the zero-fill shift of caller-supplied alignment lags),
+#    kshape_test (full fits feeding engine-derived lags into the shifted-row
+#    builder at small m and at k = n), and fitted_model_test (the .kmodel
 #    corruption matrix: truncated/ragged/byte-patched model files through the
 #    untrusted-input Load path) run under ASan+UBSan so every repair/fallback
 #    path is also checked for memory errors and UB.
@@ -172,7 +178,8 @@ cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${ASAN_DIR}" -j "${JOBS}" \
       --target degenerate_input_test robustness_properties_test tseries_test \
                rfft_test simd_kernels_test pruning_test sharded_store_test \
-               shape_extraction_test minibatch_kshape_test fitted_model_test
+               shape_extraction_test kshape_test minibatch_kshape_test \
+               fitted_model_test
 
 echo "==> hostile-input check: robustness suites under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
@@ -199,6 +206,9 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/shape_extraction_test"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "${ASAN_DIR}/tests/kshape_test"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/minibatch_kshape_test"

@@ -215,12 +215,19 @@ cluster::ClusteringResult RunKShapeDriver(
     // Refinement (Algorithm 3, lines 5-10): one ShapeAccumulator per
     // cluster, aligned toward the previous centroid and fed in global index
     // order, then Finish in cluster order so any cold-start rng draws replay
-    // identically. The accumulators take the caller's shape options verbatim;
-    // no pool cap is derived from the block geometry, since a
-    // geometry-dependent spill would make results depend on the block cut.
-    // A degenerate extraction (all members zero-norm) keeps the zero
-    // centroid as its documented representative and is surfaced via the
-    // result flag.
+    // identically. With block engines a member's alignment shift is the
+    // engine's cached NCC peak against its cluster's query (one inverse, no
+    // forwards; equal to the direct Sbd() shift of Add(member) except at
+    // near-tie lags). BeginIteration minted those queries from exactly these
+    // references, since repair and sampled passes leave result.centroids
+    // alone; the first iteration has none, and its all-zero references align
+    // nothing. The shifts are pure per-row values computed on the pool with
+    // disjoint writes, then fed sequentially. The accumulators take the
+    // caller's shape options verbatim; no pool cap is derived from the block
+    // geometry, since a geometry-dependent spill would make results depend
+    // on the block cut. A degenerate extraction (all members zero-norm)
+    // keeps the zero centroid as its documented representative and is
+    // surfaced via the result flag.
     common::Stopwatch phase_clock;
     {
       std::vector<ShapeAccumulator> accumulators;
@@ -228,22 +235,45 @@ cluster::ClusteringResult RunKShapeDriver(
       for (int j = 0; j < k; ++j) {
         accumulators.emplace_back(result.centroids[j], options.shape_options);
       }
+      const bool cached_lags = engines && !assigner.queries().empty();
+      std::vector<int> lag;
+      // Feeds `count` rows of `block`, the t-th at block-local row(t).
+      const auto feed = [&](const SeriesBlock& block, std::size_t count,
+                            const auto& row) {
+        if (cached_lags) {
+          lag.resize(count);
+          common::ParallelFor(0, count, kScanGrain,
+                              [&](std::size_t begin, std::size_t end) {
+            for (std::size_t t = begin; t < end; ++t) {
+              const std::size_t r = row(t);
+              const int label = result.assignments[block.base + r];
+              lag[t] = block.engine->MaxNcc(assigner.queries()[label], r).shift;
+            }
+          });
+        }
+        for (std::size_t t = 0; t < count; ++t) {
+          const std::size_t r = row(t);
+          ShapeAccumulator& accumulator =
+              accumulators[result.assignments[block.base + r]];
+          if (cached_lags) {
+            accumulator.Add(block.batch[r], lag[t]);
+          } else {
+            accumulator.Add(block.batch[r]);
+          }
+        }
+      };
       if (full_pass) {
         for (std::size_t b = 0; b < source->num_blocks(); ++b) {
           const SeriesBlock block = source->Block(b);
-          for (std::size_t r = 0; r < block.batch.size(); ++r) {
-            accumulators[result.assignments[block.base + r]].Add(
-                block.batch[r]);
-          }
+          feed(block, block.batch.size(), [](std::size_t t) { return t; });
         }
       } else {
         ForEachSampledBlock(source, sample,
                             [&](const SeriesBlock& block, std::size_t pos,
                                 std::size_t stop) {
-          for (; pos < stop; ++pos) {
-            accumulators[result.assignments[sample[pos]]].Add(
-                block.batch[sample[pos] - block.base]);
-          }
+          feed(block, stop - pos, [&](std::size_t t) {
+            return sample[pos + t] - block.base;
+          });
         });
       }
       result.degenerate_centroids = 0;

@@ -89,10 +89,13 @@ std::vector<double> NccSequence(tseries::SeriesView x, tseries::SeriesView y,
 
 NccPeak MaxNcc(tseries::SeriesView x, tseries::SeriesView y,
                NccNormalization norm, CrossCorrelationImpl impl) {
+  NccPeak peak;
+  // A zero-norm input makes every normalization of the sequence identically
+  // zero: value 0 at shift 0, as in Sbd(), rather than the lowest lag.
+  if (linalg::Norm(x) * linalg::Norm(y) == 0.0) return peak;
   const std::vector<double> ncc = NccSequence(x, y, norm, impl);
   const int m = static_cast<int>(x.size());
   const simd::Peak p = simd::PeakScan(ncc);
-  NccPeak peak;
   peak.value = p.value;
   peak.shift = static_cast<int>(p.index) - (m - 1);
   return peak;

@@ -48,6 +48,8 @@ struct NccPeak {
 };
 
 /// Returns the maximum of NccSequence and the corresponding optimal shift.
+/// A zero-norm input (the sequence is identically zero) gives value 0 at
+/// shift 0, Sbd()'s convention.
 NccPeak MaxNcc(tseries::SeriesView x, tseries::SeriesView y,
                NccNormalization norm,
                CrossCorrelationImpl impl = CrossCorrelationImpl::kFft);

@@ -287,12 +287,9 @@ NccPeak SbdEngine::MaxNcc(const Query& q, std::size_t i) const {
   KSHAPE_CHECK(i < size());
   NccPeak peak;
   const double den = q.norm * norms_[i];
-  if (den == 0.0) {
-    // Mirror MaxNcc over the all-zero NCCc sequence: value 0 at index 0.
-    peak.value = 0.0;
-    peak.shift = -static_cast<int>(m_ - 1);
-    return peak;
-  }
+  // Zero-norm pair: NCCc is identically zero, so no shift is preferable —
+  // value 0 at shift 0, the convention of Sbd() and MaxNcc().
+  if (den == 0.0) return peak;
   const simd::Peak raw = RawPeak(q, i);
   peak.value = raw.value * (1.0 / den);
   peak.shift = static_cast<int>(raw.index) - static_cast<int>(m_ - 1);

@@ -52,8 +52,10 @@ void ResetPeakScanStatsForTesting();
 /// the set is a single inverse transform on the cached spectra instead of the
 /// two forwards + one inverse the direct Sbd() path spends. A pairwise matrix
 /// therefore costs n forwards + n(n-1)/2 inverses rather than ~n^2 forwards
-/// + n(n-1)/2 inverses, and a k-Shape assignment iteration costs k forwards
-/// (one per centroid) + n*k inverses.
+/// + n(n-1)/2 inverses. A k-Shape iteration costs k forwards (one query per
+/// centroid) + (computed assignment pairs + n) inverses: the assignment
+/// pairs that survive pruning, plus one MaxNcc per member to align it for
+/// shape extraction against its cluster's query — no per-member forwards.
 ///
 /// Half-spectrum mode (the default; see fft/rfft.h): series are real, so the
 /// engine caches only the packed bins [0, fft_len/2] in one contiguous SoA
@@ -154,7 +156,11 @@ class SbdEngine {
   double Distance(const Query& q, std::size_t i) const;
 
   /// Peak NCCc value and optimal shift of series[i] relative to q — the
-  /// cached analogue of MaxNcc(q, series[i], kCoefficient).
+  /// cached analogue of MaxNcc(q, series[i], kCoefficient), one inverse
+  /// transform. The shift equals Sbd(q, series[i]).shift except at near-tie
+  /// lags (the arithmetics differ by rounding); a zero-norm pair gives
+  /// value 0 at shift 0. The k-Shape driver aligns extraction members with
+  /// it.
   NccPeak MaxNcc(const Query& q, std::size_t i) const;
 
   /// out[i] = SBD(q, series[i]) for every cached series, computed in parallel

@@ -1,6 +1,8 @@
 #include "core/shape_extraction.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <utility>
 
 #include "common/check.h"
@@ -54,7 +56,8 @@ ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
       align_(linalg::Norm(reference) > 0.0),
       pool_mode_(options.use_matrix_free && options.use_power_iteration),
       max_pool_rows_(options.matrix_free_max_members),
-      mean_(reference.size(), 0.0) {
+      mean_(reference.size(), 0.0),
+      row_(reference.size(), 0.0) {
   KSHAPE_CHECK_MSG(!reference_.empty(), "empty shape-extraction reference");
   // The whole point of pool mode is that the m×m Gram is never allocated;
   // s_ stays 0x0 until a max-members spill (if any).
@@ -64,31 +67,46 @@ ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
 }
 
 void ShapeAccumulator::Add(tseries::SeriesView member) {
+  Add(member, align_ ? Sbd(reference_, member).shift : 0);
+}
+
+void ShapeAccumulator::Add(tseries::SeriesView member, int shift) {
   const std::size_t m = reference_.size();
   KSHAPE_CHECK_MSG(member.size() == m, "member length mismatch");
+  KSHAPE_CHECK_MSG(shift > -static_cast<int>(m) && shift < static_cast<int>(m),
+                   "alignment shift out of range");
   ++added_;
+  // The member shifted toward the reference with zero fill (Equation 5),
+  // built in the reused row_ buffer: the same values Sbd().aligned_y holds
+  // for that shift. A zero-norm reference aligns nothing.
+  const int lag = align_ ? shift : 0;
+  const std::size_t gap = static_cast<std::size_t>(std::abs(lag));
+  if (lag < 0) {
+    std::copy(member.begin() + gap, member.end(), row_.begin());
+    std::fill(row_.end() - gap, row_.end(), 0.0);
+  } else {
+    std::fill(row_.begin(), row_.begin() + gap, 0.0);
+    std::copy(member.begin(), member.end() - gap, row_.begin() + gap);
+  }
   // Accumulate S = sum_i y_i y_i^T over the aligned, z-normalized members —
   // as an explicit Gram in Gram mode, as pooled rows in matrix-free mode.
   // Members that z-normalize to the zero series (constant after alignment)
   // contribute nothing to S or the mean; they are skipped so a fully
   // degenerate member set can be detected instead of feeding the zero matrix
   // to the eigensolver, which would return an arbitrary start vector.
-  tseries::Series aligned = align_ ? Sbd(reference_, member).aligned_y
-                                   : tseries::Series(member.begin(),
-                                                     member.end());
-  tseries::ZNormalizeInPlace(&aligned);
-  if (linalg::Norm(aligned) == 0.0) return;
+  tseries::ZNormalizeInPlace(row_);
+  if (linalg::Norm(row_) == 0.0) return;
   if (pool_mode_) {
-    pool_.Append(aligned);
+    pool_.Append(row_);
     if (max_pool_rows_ > 0 && pool_.size() > max_pool_rows_) {
       SpillPoolToGram();
     }
   } else {
     // Upper triangle only (S is symmetric); mirrored once in Finish at half
     // the accumulation cost, bit-identical to the full outer products.
-    s_.AddSymmetricOuterProduct(aligned);
+    s_.AddSymmetricOuterProduct(row_);
   }
-  linalg::Axpy(1.0, aligned, &mean_);
+  linalg::Axpy(1.0, row_, &mean_);
   ++used_;
 }
 

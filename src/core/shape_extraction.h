@@ -128,6 +128,14 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
 /// (below matrix_free_min_members) and pools exceeding
 /// matrix_free_max_members cross back to the Gram path bit-identically.
 ///
+/// Alignment: each member is shifted toward the reference by its optimal
+/// SBD shift before it is pooled or folded. Add(member) finds that shift
+/// with a direct Sbd(); Add(member, shift) takes it from the caller. The
+/// k-Shape driver uses the latter with the block engine's cached NCC peak
+/// (SbdEngine::MaxNcc against the reference's query), which agrees with
+/// Sbd() except at near-tie lags, where the two arithmetics may pick
+/// different maxima of the same NCC sequence.
+///
 /// Usage: construct with the alignment reference (the previous centroid; the
 /// reference is copied, so the view may die immediately) and the same options
 /// later passed to Finish(), Add() each member in a deterministic order, then
@@ -143,10 +151,20 @@ class ShapeAccumulator {
                             const ShapeExtractionOptions& options = {});
 
   /// Folds one member into the running state (pooled row or Gram update,
-  /// plus the mean). Members that z-normalize to the zero series after
-  /// alignment are counted but contribute nothing (the degenerate-set rule
-  /// of ExtractShapeFlagged).
+  /// plus the mean), aligned by the direct Sbd(reference, member) shift.
+  /// Members that z-normalize to the zero series after alignment are counted
+  /// but contribute nothing (the degenerate-set rule of ExtractShapeFlagged).
+  /// Equivalent to Add(member, Sbd(reference, member).shift).
   void Add(tseries::SeriesView member);
+
+  /// Add() with the alignment shift supplied by the caller — the optimal
+  /// shift of `member` toward the reference, as Sbd()/MaxNcc report it —
+  /// so a caller holding cached spectra (SbdEngine::MaxNcc against the
+  /// reference's query) pays one inverse transform per member instead of a
+  /// direct Sbd(). The member is shifted with zero fill and z-normalized in
+  /// a reused scratch row, with no per-member allocation; a zero-norm
+  /// reference ignores the shift. Requires |shift| < m.
+  void Add(tseries::SeriesView member, int shift);
 
   /// Number of Add() calls so far (including degenerate members).
   std::size_t members_added() const { return added_; }
@@ -187,6 +205,7 @@ class ShapeAccumulator {
   linalg::Matrix s_;           // Gram upper triangle; 0x0 in pool mode.
   tseries::SeriesStore pool_;  // Aligned z-normalized members in pool mode.
   std::vector<double> mean_;
+  tseries::Series row_;  // Scratch: the member being aligned and normalized.
   std::size_t used_ = 0;
   std::size_t added_ = 0;
 };

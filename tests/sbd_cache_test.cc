@@ -9,7 +9,10 @@
 // with operator==.
 
 #include <cmath>
+#include <algorithm>
 #include <cstddef>
+#include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -109,18 +112,95 @@ TEST(SbdCacheTest, QueryPathMatchesDirectSbd) {
   }
 }
 
+// Peak of the direct NCCc sequence minus the largest value at any other
+// lag. Below kNearTieGap the two arithmetics (direct vs cached spectra) may
+// legitimately pick different lags for the maximum.
+constexpr double kNearTieGap = 1e-9;
+
+double TopTwoGap(const Series& x, const Series& y) {
+  const std::vector<double> ncc =
+      core::NccSequence(x, y, core::NccNormalization::kCoefficient);
+  const std::size_t top = static_cast<std::size_t>(
+      std::max_element(ncc.begin(), ncc.end()) - ncc.begin());
+  double second = -std::numeric_limits<double>::infinity();
+  for (std::size_t t = 0; t < ncc.size(); ++t) {
+    if (t != top) second = std::max(second, ncc[t]);
+  }
+  return ncc[top] - second;
+}
+
+// The alignment contract the k-Shape driver rests on: the engine's cached
+// peak shift equals the direct Sbd() shift for every (reference, member)
+// pair, except at certified near-ties, which are counted and printed.
 TEST(SbdCacheTest, MaxNccMatchesDirectShiftAndValue) {
-  const std::vector<Series> series = MakeSeries(8, 70, 3);
-  common::Rng rng(4);
-  const Series query = tseries::ZNormalized(data::MakeCbf(0, 70, &rng));
-  const core::SbdEngine engine(series);
-  const core::SbdEngine::Query q = engine.MakeQuery(query);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    const core::NccPeak direct = core::MaxNcc(
-        query, series[i], core::NccNormalization::kCoefficient);
-    const core::NccPeak cached = engine.MaxNcc(q, i);
-    EXPECT_NEAR(cached.value, direct.value, kEpsPow2);
-    EXPECT_EQ(cached.shift, direct.shift);
+  long long pairs = 0;
+  long long near_ties = 0;
+  for (const std::size_t m : {64, 70, 128, 129, 512}) {
+    common::Rng rng(m);
+    std::vector<Series> series = MakeSeries(9, m, m + 1);
+    for (int i = 0; i < 4; ++i) {  // Noisy.
+      Series s(m);
+      for (double& v : s) v = rng.Gaussian();
+      series.push_back(tseries::ZNormalized(s));
+    }
+    for (int i = 0; i < 3; ++i) {  // Near-constant, left unnormalized.
+      Series s(m, 1.0 + i);
+      for (double& v : s) v += 1e-6 * rng.Gaussian();
+      series.push_back(s);
+    }
+    series.push_back(Series(m, 0.0));  // Zero-norm member.
+    const std::vector<Series> references = {
+        series[0], series[4], series[9], series[13],
+        tseries::ZNormalized(data::MakeCbf(0, m, &rng))};
+    for (const bool half : {false, true}) {
+      for (const bool planes : {false, true}) {
+        const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
+                                     half, planes);
+        for (const Series& reference : references) {
+          const core::SbdEngine::Query q = engine.MakeQuery(reference);
+          for (std::size_t i = 0; i < series.size(); ++i) {
+            const core::NccPeak cached = engine.MaxNcc(q, i);
+            const core::NccPeak direct = core::MaxNcc(
+                reference, series[i], core::NccNormalization::kCoefficient);
+            EXPECT_NEAR(cached.value, direct.value, kEpsPow2);
+            ++pairs;
+            const int sbd_shift = core::Sbd(reference, series[i]).shift;
+            if (cached.shift == sbd_shift) continue;
+            ++near_ties;
+            EXPECT_LT(TopTwoGap(reference, series[i]), kNearTieGap)
+                << "m=" << m << " half=" << half << " planes=" << planes
+                << " member " << i << ": cached shift " << cached.shift
+                << " vs Sbd shift " << sbd_shift;
+          }
+        }
+      }
+    }
+  }
+  std::cout << "[ near-ties ] " << near_ties << " of " << pairs
+            << " pairs differ in shift (certified near-ties)\n";
+  RecordProperty("near_ties", static_cast<int>(near_ties));
+}
+
+TEST(SbdCacheTest, MaxNccZeroNormPairPeaksAtShiftZero) {
+  // Sbd()'s zero-norm convention: value 0, shift 0 — for a zero-norm member
+  // and for a zero-norm query, in both spectrum layouts.
+  const std::size_t m = 40;
+  std::vector<Series> series = MakeSeries(3, m, 6);
+  series.push_back(Series(m, 0.0));
+  for (const bool half : {false, true}) {
+    const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
+                                 half);
+    const core::NccPeak zero_member =
+        engine.MaxNcc(engine.MakeQuery(series[0]), series.size() - 1);
+    EXPECT_EQ(zero_member.value, 0.0);
+    EXPECT_EQ(zero_member.shift, 0);
+    const core::SbdEngine::Query zero_query = engine.MakeQuery(Series(m, 0.0));
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      const core::NccPeak peak = engine.MaxNcc(zero_query, i);
+      EXPECT_EQ(peak.value, 0.0);
+      EXPECT_EQ(peak.shift, 0);
+      EXPECT_EQ(peak.shift, core::Sbd(Series(m, 0.0), series[i]).shift);
+    }
   }
 }
 

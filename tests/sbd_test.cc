@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,6 +187,27 @@ TEST(MaxNccTest, PeakShiftMatchesConstruction) {
   const NccPeak peak = MaxNcc(x, y, NccNormalization::kCoefficient);
   EXPECT_EQ(peak.shift, -5);
   EXPECT_GT(peak.value, 0.9);
+}
+
+TEST(MaxNccTest, ZeroNormInputPeaksAtShiftZero) {
+  // A zero-norm input makes every NCC sequence identically zero. MaxNcc then
+  // reports value 0 at shift 0 — Sbd()'s "no shift is preferable" — not the
+  // lowest lag -(m-1) that a scan of the all-zero sequence would pick.
+  const std::size_t m = 16;
+  const Series zero(m, 0.0);
+  const Series x = Sine(m, 1.0, 0.0);
+  for (const NccNormalization norm :
+       {NccNormalization::kBiased, NccNormalization::kUnbiased,
+        NccNormalization::kCoefficient}) {
+    for (const auto& [a, b] : {std::pair(x, zero), std::pair(zero, x),
+                               std::pair(zero, zero)}) {
+      const NccPeak peak = MaxNcc(a, b, norm);
+      EXPECT_EQ(peak.value, 0.0) << NccNormalizationName(norm);
+      EXPECT_EQ(peak.shift, 0) << NccNormalizationName(norm);
+    }
+  }
+  EXPECT_EQ(MaxNcc(x, zero, NccNormalization::kCoefficient).shift,
+            Sbd(x, zero).shift);
 }
 
 TEST(SbdDistanceTest, WrapperNamesFollowImplementation) {

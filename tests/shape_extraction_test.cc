@@ -1,18 +1,29 @@
 #include "core/shape_extraction.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <iostream>
+#include <limits>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cluster/algorithm.h"
 #include "common/parallel.h"
 #include "common/random.h"
 #include "core/kshape.h"
+#include "core/kshape_driver.h"
 #include "core/sbd.h"
+#include "core/sbd_engine.h"
+#include "data/generators.h"
 #include "fft/rfft.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
+#include "model/assigner.h"
 #include "simd/dispatch.h"
 #include "tseries/normalization.h"
 
@@ -623,6 +634,318 @@ TEST(MatrixFreeExtractionTest, KShapeLabelParityAcrossModeSeedSweep) {
     EXPECT_GE(on.assignment_seconds, 0.0);
     EXPECT_GE(on.extraction_seconds, 0.0);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Caller-supplied alignment shifts: Add(member, shift) is the row builder
+// behind Add(member), and the k-Shape driver feeds it the block engine's
+// cached NCC peak instead of a direct Sbd().
+// ---------------------------------------------------------------------------
+
+// Noisy sines plus zero-fill-shifted copies, so the alignment shifts span
+// small and large lags of both signs.
+std::vector<Series> ShiftedCorpus(std::size_t n, std::size_t m,
+                                  uint64_t seed) {
+  std::vector<Series> members = NoisySineCorpus(n, m, seed);
+  const int lags[] = {-11, -5, 3, 9, 17};
+  for (std::size_t i = 0; i < members.size(); i += 2) {
+    members[i] = tseries::ZNormalized(
+        tseries::ShiftWithZeroFill(members[i], lags[(i / 2) % 5]));
+  }
+  return members;
+}
+
+// Feeds `members` through Add(member) and through Add(member, Sbd shift)
+// and asserts the two accumulators solve to the same bits.
+void ExpectShiftRouteMatchesDirect(const std::vector<Series>& members,
+                                   const Series& reference,
+                                   const ShapeExtractionOptions& options,
+                                   bool expect_pool, const char* label) {
+  ShapeAccumulator direct(reference, options);
+  ShapeAccumulator shifted(reference, options);
+  int nonzero_shifts = 0;
+  for (const Series& member : members) {
+    const int shift = Sbd(reference, member).shift;
+    nonzero_shifts += shift != 0;
+    direct.Add(member);
+    shifted.Add(member, shift);
+  }
+  EXPECT_GT(nonzero_shifts, 0) << label;
+  EXPECT_EQ(direct.members_added(), shifted.members_added()) << label;
+  EXPECT_EQ(shifted.matrix_free_active(), expect_pool) << label;
+  EXPECT_EQ(direct.matrix_free_active(), expect_pool) << label;
+  common::Rng rng_direct(131);
+  common::Rng rng_shifted(131);
+  const ExtractedShape a = direct.Finish(&rng_direct, options);
+  const ExtractedShape b = shifted.Finish(&rng_shifted, options);
+  EXPECT_EQ(a.degenerate, b.degenerate) << label;
+  ASSERT_EQ(a.centroid.size(), b.centroid.size()) << label;
+  for (std::size_t t = 0; t < a.centroid.size(); ++t) {
+    EXPECT_EQ(a.centroid[t], b.centroid[t]) << label << " t=" << t;
+  }
+}
+
+TEST(ShapeAccumulatorShiftTest, SbdShiftMatchesDirectAddBitwiseInEveryMode) {
+  const std::size_t m = 64;
+  const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.15));
+
+  ShapeExtractionOptions gram;
+  gram.use_matrix_free = false;
+  ExpectShiftRouteMatchesDirect(ShiftedCorpus(14, m, 137), reference, gram,
+                                /*expect_pool=*/false, "gram");
+
+  const ShapeExtractionOptions pool;  // 14 members >= min_members = 8.
+  ExpectShiftRouteMatchesDirect(ShiftedCorpus(14, m, 139), reference, pool,
+                                /*expect_pool=*/true, "pool");
+
+  const std::vector<Series> few = ShiftedCorpus(5, m, 149);
+  ASSERT_LT(few.size(), pool.matrix_free_min_members);
+  ExpectShiftRouteMatchesDirect(few, reference, pool, /*expect_pool=*/true,
+                                "below crossover");
+
+  ShapeExtractionOptions capped;
+  capped.matrix_free_max_members = 4;
+  ExpectShiftRouteMatchesDirect(ShiftedCorpus(12, m, 151), reference, capped,
+                                /*expect_pool=*/false, "spill");
+}
+
+TEST(ShapeAccumulatorShiftTest, ZeroNormReferenceIgnoresAnyShift) {
+  // The all-zero initial centroid aligns nothing: every shift lands on the
+  // unshifted member, i.e. on Add(member).
+  const std::size_t m = 48;
+  const Series zero(m, 0.0);
+  const std::vector<Series> members = ShiftedCorpus(10, m, 157);
+  const int m_int = static_cast<int>(m);
+  for (const int shift : {-(m_int - 1), -7, 0, 5, m_int - 1}) {
+    ShapeAccumulator direct(zero);
+    ShapeAccumulator shifted(zero);
+    for (const Series& member : members) {
+      direct.Add(member);
+      shifted.Add(member, shift);
+    }
+    common::Rng rng_direct(163);
+    common::Rng rng_shifted(163);
+    const Series a = direct.Finish(&rng_direct).centroid;
+    const Series b = shifted.Finish(&rng_shifted).centroid;
+    for (std::size_t t = 0; t < m; ++t) {
+      EXPECT_EQ(a[t], b[t]) << "shift=" << shift << " t=" << t;
+    }
+  }
+}
+
+TEST(ShapeAccumulatorShiftTest, ZeroNormMemberIsCountedThenDroppedAtAnyShift) {
+  const std::size_t m = 32;
+  const Series reference = tseries::ZNormalized(Sine(m, 1.0, 0.2));
+  for (const bool matrix_free : {false, true}) {
+    ShapeExtractionOptions options;
+    options.use_matrix_free = matrix_free;
+    ShapeAccumulator accumulator(reference, options);
+    for (const int shift : {-31, -4, 0, 6, 31}) {
+      accumulator.Add(Series(m, 0.0), shift);
+    }
+    EXPECT_EQ(accumulator.members_added(), 5u);
+    common::Rng rng(167);
+    const ExtractedShape extracted = accumulator.Finish(&rng, options);
+    EXPECT_TRUE(extracted.degenerate) << "matrix_free=" << matrix_free;
+    for (double v : extracted.centroid) EXPECT_EQ(v, 0.0);
+  }
+}
+
+TEST(ShapeAccumulatorShiftDeathTest, ShiftOfAtLeastMAborts) {
+  const std::size_t m = 16;
+  const Series reference = tseries::ZNormalized(Sine(m, 1.0, 0.0));
+  const Series member = tseries::ZNormalized(Sine(m, 1.0, 0.5));
+  EXPECT_DEATH(ShapeAccumulator(reference).Add(member, 16),
+               "alignment shift out of range");
+  EXPECT_DEATH(ShapeAccumulator(reference).Add(member, -16),
+               "alignment shift out of range");
+  EXPECT_DEATH(ShapeAccumulator(Series(m, 0.0)).Add(member, 40),
+               "alignment shift out of range");
+}
+
+// ---------------------------------------------------------------------------
+// Driver-level parity: KShape::Cluster (engine-derived alignment shifts)
+// against Algorithm 3 rebuilt from public calls with the direct Add(member).
+// ---------------------------------------------------------------------------
+
+// Below this top-2 gap of the NCCc sequence the direct and cached
+// arithmetics may pick different maximizing lags.
+constexpr double kNearTieGap = 1e-9;
+
+double TopTwoGap(const Series& x, const Series& y) {
+  const std::vector<double> ncc =
+      NccSequence(x, y, NccNormalization::kCoefficient);
+  const std::size_t top = static_cast<std::size_t>(
+      std::max_element(ncc.begin(), ncc.end()) - ncc.begin());
+  double second = -std::numeric_limits<double>::infinity();
+  for (std::size_t t = 0; t < ncc.size(); ++t) {
+    if (t != top) second = std::max(second, ncc[t]);
+  }
+  return ncc[top] - second;
+}
+
+struct ReplayResult {
+  cluster::ClusteringResult result;
+  // Aligned pairs where the engine's cached shift differs from Sbd()'s; each
+  // is asserted to be a certified near-tie.
+  int near_ties = 0;
+};
+
+// D² seeding exactly as the driver runs it on one block: each seed minted
+// once as a query, distances from the cached spectra, the rng-driven picks
+// and the index-order total on the calling thread.
+std::vector<int> ReplayPlusPlus(const SbdEngine& engine,
+                                const std::vector<Series>& series, int k,
+                                common::Rng* rng) {
+  const std::size_t n = series.size();
+  std::vector<double> d2(n);
+  std::vector<int> nearest(n, 0);
+  const auto scan = [&](std::size_t seed, int seed_index) {
+    const SbdEngine::Query q = SbdEngine::MakeQueryFor(
+        series[seed], engine.series_length(), engine.fft_length(),
+        engine.half_spectrum(), /*build_bound_planes=*/false);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = engine.Distance(q, i);
+      if (seed_index == 0) {
+        d2[i] = d * d;
+      } else if (d * d < d2[i]) {
+        d2[i] = d * d;
+        nearest[i] = seed_index;
+      }
+    }
+  };
+  scan(static_cast<std::size_t>(rng->UniformInt(static_cast<int>(n))), 0);
+  for (int seed_index = 1; seed_index < k; ++seed_index) {
+    double total = 0.0;
+    for (double v : d2) total += v;
+    std::size_t pick = 0;
+    if (total <= 0.0) {
+      pick = static_cast<std::size_t>(rng->UniformInt(static_cast<int>(n)));
+    } else {
+      double threshold = rng->Uniform() * total;
+      for (std::size_t i = 0; i < n; ++i) {
+        threshold -= d2[i];
+        if (threshold <= 0.0) {
+          pick = i;
+          break;
+        }
+      }
+    }
+    scan(pick, seed_index);
+  }
+  return nearest;
+}
+
+// Algorithm 3 with KShape's default options, every member aligned by the
+// direct Sbd() inside Add(member).
+ReplayResult ReplayKShape(const std::vector<Series>& series, int k,
+                          const KShapeOptions& options, uint64_t seed) {
+  const std::size_t n = series.size();
+  const std::size_t m = series.front().size();
+  const EngineConfig config = EngineConfigFor(options);
+  const SbdEngine engine(series, CrossCorrelationImpl::kFft,
+                         config.half_spectrum, config.bound_planes);
+  common::Rng rng(seed);
+
+  ReplayResult replay;
+  cluster::ClusteringResult& result = replay.result;
+  result.assignments = options.init == KShapeInit::kPlusPlusSeeding
+                           ? ReplayPlusPlus(engine, series, k, &rng)
+                           : cluster::RandomAssignments(n, k, &rng);
+  result.centroids.assign(k, Series(m, 0.0));
+
+  model::AssignerOptions assigner_options;
+  assigner_options.k = k;
+  assigner_options.num_series = n;
+  assigner_options.m = m;
+  assigner_options.fft_len = engine.fft_length();
+  assigner_options.use_half_spectrum = config.half_spectrum;
+  assigner_options.use_pruning = config.bound_planes;
+  assigner_options.use_movement_bounds = config.bound_planes;
+  assigner_options.prune_margin = options.prune_margin;
+  model::Assigner assigner(assigner_options);
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const std::vector<int> previous = result.assignments;
+    assigner.SnapshotCentroids(result.centroids);
+    const std::vector<std::vector<std::size_t>> groups =
+        cluster::GroupByCluster(result.assignments, k);
+    for (int j = 0; j < k; ++j) {
+      ShapeAccumulator accumulator(result.centroids[j],
+                                   options.shape_options);
+      for (const std::size_t i : groups[j]) {
+        if (!assigner.queries().empty()) {
+          const int cached = engine.MaxNcc(assigner.queries()[j], i).shift;
+          const int direct = Sbd(result.centroids[j], series[i]).shift;
+          if (cached != direct) {
+            ++replay.near_ties;
+            EXPECT_LT(TopTwoGap(result.centroids[j], series[i]), kNearTieGap)
+                << "iter=" << iter << " cluster " << j << " member " << i
+                << ": cached shift " << cached << " vs Sbd shift " << direct;
+          }
+        }
+        accumulator.Add(series[i]);
+      }
+      result.centroids[j] =
+          accumulator.Finish(&rng, options.shape_options).centroid;
+    }
+    assigner.BeginIteration(result.centroids);
+    assigner.AssignBlock(engine, 0, &result.assignments);
+    const int reseeds = cluster::RepairEmptyClusters(
+        k, &result.assignments, [&](int j, std::size_t i) {
+          return engine.Distance(assigner.queries()[j], i);
+        });
+    assigner.FinishIteration(reseeds);
+    result.iterations = iter + 1;
+    if (result.assignments == previous) break;
+  }
+  return replay;
+}
+
+TEST(KShapeReplayParityTest, ClusterEqualsDirectSbdReplayBitwise) {
+  SimdBackendGuard guard;  // Restores the thread count.
+  const int k = 3;
+  int near_ties = 0;
+  int divergent = 0;
+  for (const std::size_t m : {128, 512}) {
+    for (const KShapeInit init :
+         {KShapeInit::kRandomAssignment, KShapeInit::kPlusPlusSeeding}) {
+      KShapeOptions options;
+      options.init = init;
+      const KShape kshape(options);
+      for (uint64_t seed = 1; seed <= 8; ++seed) {
+        common::Rng corpus_rng(1000 * m + seed);
+        std::vector<Series> series;
+        for (int i = 0; i < 45; ++i) {
+          series.push_back(
+              tseries::ZNormalized(data::MakeCbf(i % 3, m, &corpus_rng)));
+        }
+        common::SetThreadCount(1);
+        const ReplayResult replay = ReplayKShape(series, k, options, seed);
+        near_ties += replay.near_ties;
+        for (const int threads : {1, 2, 8}) {
+          common::SetThreadCount(threads);
+          common::Rng rng(seed);
+          const cluster::ClusteringResult fit = kshape.Cluster(series, k, &rng);
+          const bool same = fit.assignments == replay.result.assignments &&
+                            fit.centroids == replay.result.centroids &&
+                            fit.iterations == replay.result.iterations;
+          if (replay.near_ties > 0) {
+            divergent += !same;  // Certified in the replay above.
+            continue;
+          }
+          EXPECT_TRUE(same) << "m=" << m << " plusplus="
+                            << (init == KShapeInit::kPlusPlusSeeding)
+                            << " seed=" << seed << " threads=" << threads;
+        }
+      }
+    }
+  }
+  std::cout << "[ near-ties ] " << near_ties
+            << " aligned pairs differ in shift (certified near-ties); "
+            << divergent << " fits diverged after one\n";
+  RecordProperty("near_ties", near_ties);
 }
 
 }  // namespace
