@@ -25,14 +25,17 @@
 #    kshape_fit -> kshape_predict round-trip leg that exercises the .kmodel
 #    artifact end to end through the example CLIs.
 # 2. -march=native release build: the strictest determinism setting — the
-#    compiler is free to fuse/vectorize everything OUTSIDE the pinned kernel
-#    TUs, so tier-1 passing here proves the -ffp-contract=off firewalls
-#    around src/simd/ actually hold.
+#    compiler may vectorize everything and the target has FMA, so tier-1
+#    passing here proves the -ffp-contract=off build flag (every target)
+#    and the pinned kernel TU flags around src/simd/ actually hold. Expected
+#    green: tests that compare against std::complex references round exactly
+#    like the library now that nothing is contracted into an FMA.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
-#    rfft_test, simd_kernels_test, pruning_test, sharded_store_test,
-#    shape_extraction_test, and
+#    fft_test, rfft_test, simd_kernels_test, pruning_test,
+#    sharded_store_test, shape_extraction_test, and
 #    minibatch_kshape_test run under TSan to catch data races in the pool,
-#    the FFT/RFFT plan caches (incl. BatchSpectra parallel fill), the
+#    the FFT/RFFT plan caches (incl. BatchSpectra parallel fill) and their
+#    per-thread transform scratch, the
 #    spectrum-cached SBD pipeline, the kernel dispatch cache (atomic table
 #    pointer + SetBackendForTesting), the pruned assignment scan (per-series
 #    bound/telemetry cells + the KSHAPE_PRUNE gate atomics), the shard
@@ -46,11 +49,16 @@
 #    replay-parity test in shape_extraction_test runs it at 1/2/8
 #    threads); fitted_model_test also runs under TSan because
 #    Predict drives the Assigner's parallel assignment fan-out over a frozen
-#    model at multiple thread counts.
+#    model at multiple thread counts, and because it sums the engine's
+#    per-thread lag-counter cells after parallel scans at 1, 2 and 8
+#    threads.
 # 4. AddressSanitizer+UBSan build; the robustness suites (degenerate inputs,
 #    property sweeps over hostile data, conditioning) plus simd_kernels_test
-#    (unaligned loads, length-1..67 tails), rfft_test (packed-bin
-#    unpack/fold indexing at odd, prime, and power-of-two lengths),
+#    (unaligned loads, length-1..67 tails, every radix-2 stage and stage
+#    pair up to 4096 points), fft_test and rfft_test (packed-bin
+#    unpack/fold indexing at odd, prime, and power-of-two lengths, the
+#    per-thread transform scratch, the bit-reversed unpack writes, and the
+#    negative-lag index arithmetic of the lag-order inverse at m = 1, 2, 3),
 #    pruning_test (bound-plane indexing at Bluestein lengths, the
 #    partial-sum checkpoint tails), sharded_store_test (mmap-free file I/O,
 #    truncated/corrupt shard handling), minibatch_kshape_test (sampled
@@ -144,11 +152,11 @@ echo "==> ThreadSanitizer build (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DKSHAPE_SANITIZE=thread
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-      --target parallel_test thread_pool_test sbd_cache_test rfft_test \
-               simd_kernels_test pruning_test sharded_store_test \
+      --target parallel_test thread_pool_test sbd_cache_test fft_test \
+               rfft_test simd_kernels_test pruning_test sharded_store_test \
                shape_extraction_test minibatch_kshape_test fitted_model_test
 
-echo "==> race check: parallel + thread_pool + sbd_cache + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model under TSan"
+echo "==> race check: parallel + thread_pool + sbd_cache + fft + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model under TSan"
 # Run the parallel paths at a thread count high enough to force real
 # interleaving even on small CI machines.
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
@@ -157,6 +165,8 @@ KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/thread_pool_test"
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/sbd_cache_test"
+KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    "${TSAN_DIR}/tests/fft_test"
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/rfft_test"
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
@@ -177,7 +187,8 @@ cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DKSHAPE_SANITIZE=address,undefined
 cmake --build "${ASAN_DIR}" -j "${JOBS}" \
       --target degenerate_input_test robustness_properties_test tseries_test \
-               rfft_test simd_kernels_test pruning_test sharded_store_test \
+               fft_test rfft_test simd_kernels_test pruning_test \
+               sharded_store_test \
                shape_extraction_test kshape_test minibatch_kshape_test \
                fitted_model_test
 
@@ -191,6 +202,9 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/tseries_test"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "${ASAN_DIR}/tests/fft_test"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/rfft_test"

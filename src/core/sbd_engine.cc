@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
+#include <memory>
+#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/env_gate.h"
@@ -45,67 +47,68 @@ void FillBoundPlane(std::size_t fft_len, std::size_t bins, std::size_t ntail,
   }
 }
 
-// Lag-scan early abandoning (the inverse-transform-side sibling of the
-// spectral NCC bound). Chunk cadence of the scan and the relative margin the
-// stop rule keeps below the best-so-far: |cc[t]| <= sqrt(Σ_{u >= t} cc[u]^2),
-// so once the remaining suffix energy certifies every unseen lag is strictly
-// below the running peak, the rest of the buffer cannot change the result.
-constexpr std::size_t kPeakChunk = 64;
-constexpr double kPeakAbandonMargin = 1e-9;
+// Lag telemetry in per-thread cells: each cell sits on its own cache line
+// and only its owning thread writes it (a relaxed load + store, no contended
+// read-modify-write), while PeakScanStats() sums every cell. A thread takes
+// a free cell on its first count and frees it at exit; the cell keeps its
+// count for the sum and for the next thread that takes it, so the total is
+// exact and the cell count stays bounded by the live threads.
+struct alignas(64) LagCell {
+  std::atomic<long long> scanned{0};
+  bool in_use = false;  // guarded by LagCells::mu
+};
 
-// Process-wide lag telemetry (relaxed: counters only, no ordering needed).
-std::atomic<long long> g_peak_lags_scanned{0};
-std::atomic<long long> g_peak_lags_skipped{0};
+struct LagCells {
+  std::mutex mu;
+  std::vector<std::unique_ptr<LagCell>> cells;
+};
 
-// Peak of the cc lag buffer, abandoning the tail when the checkpointed
-// suffix energies prove it cannot win. Bit-identical to simd::PeakScan(cc):
-// a chunk is skipped only when sqrt(suffix) <= best·(1 - margin); summation
-// rounding underestimates the suffix norm by far less than the margin, so
-// every skipped lag is *strictly* below best — it can neither beat the value
-// nor steal the lowest-index tie-break. The strict-greater chunk combine
-// preserves the kernel's lowest-index-of-the-max contract across chunk
-// boundaries. Gated on KSHAPE_PRUNE like every other bound-driven shortcut.
-simd::Peak PeakScanWithAbandon(const std::vector<double>& cc) {
-  const std::size_t n = cc.size();
-  if (!PruningEnabled() || n <= kPeakChunk) {
-    g_peak_lags_scanned.fetch_add(static_cast<long long>(n),
-                                  std::memory_order_relaxed);
-    return simd::PeakScan(cc);
-  }
-  // Checkpointed suffix energies: suffix[c] = Σ_{t >= 64c} cc[t]^2, built by
-  // one backward pass (cheap next to the inverse transform that made cc).
-  static thread_local std::vector<double> suffix;
-  const std::size_t ntail = (n + kPeakChunk - 1) / kPeakChunk;
-  suffix.resize(ntail);
-  double energy = 0.0;
-  for (std::size_t c = ntail; c-- > 0;) {
-    const std::size_t lo = c * kPeakChunk;
-    std::size_t t = c + 1 == ntail ? n : lo + kPeakChunk;
-    for (; t > lo; --t) energy += cc[t - 1] * cc[t - 1];
-    suffix[c] = energy;
-  }
-  simd::Peak best;
-  best.value = -std::numeric_limits<double>::infinity();
-  std::size_t c = 0;
-  for (; c < ntail; ++c) {
-    if (best.value > 0.0 &&
-        std::sqrt(suffix[c]) <= best.value * (1.0 - kPeakAbandonMargin)) {
-      break;
+// Never destroyed: thread exits (and their cell releases) can run after
+// static destruction begins.
+LagCells& Cells() {
+  static auto* cells = new LagCells();
+  return *cells;
+}
+
+class LagCellLease {
+ public:
+  LagCellLease() {
+    LagCells& all = Cells();
+    std::lock_guard<std::mutex> lock(all.mu);
+    for (const auto& c : all.cells) {
+      if (!c->in_use) {
+        cell_ = c.get();
+        break;
+      }
     }
-    const std::size_t lo = c * kPeakChunk;
-    const std::size_t hi = c + 1 == ntail ? n : lo + kPeakChunk;
-    const simd::Peak p = simd::Active().peak_scan(cc.data() + lo, hi - lo);
-    if (p.value > best.value) {
-      best.value = p.value;
-      best.index = lo + p.index;
+    if (cell_ == nullptr) {
+      all.cells.push_back(std::make_unique<LagCell>());
+      cell_ = all.cells.back().get();
     }
+    cell_->in_use = true;
   }
-  const std::size_t scanned = c == ntail ? n : c * kPeakChunk;
-  g_peak_lags_scanned.fetch_add(static_cast<long long>(scanned),
-                                std::memory_order_relaxed);
-  g_peak_lags_skipped.fetch_add(static_cast<long long>(n - scanned),
-                                std::memory_order_relaxed);
-  return best;
+  ~LagCellLease() {
+    std::lock_guard<std::mutex> lock(Cells().mu);
+    cell_->in_use = false;
+  }
+  LagCellLease(const LagCellLease&) = delete;
+  LagCellLease& operator=(const LagCellLease&) = delete;
+
+  void Add(std::size_t lags) {
+    std::atomic<long long>& c = cell_->scanned;
+    c.store(c.load(std::memory_order_relaxed) + static_cast<long long>(lags),
+            std::memory_order_relaxed);
+  }
+
+ private:
+  LagCell* cell_ = nullptr;
+};
+
+// Peak of one lag buffer: a single dispatched scan over all 2m-1 lags.
+simd::Peak ScanLags(const std::vector<double>& cc) {
+  static thread_local LagCellLease lease;
+  lease.Add(cc.size());
+  return simd::PeakScan(cc);
 }
 
 // Peak of the raw cross-correlation of two cached full-complex spectra. The
@@ -116,7 +119,7 @@ simd::Peak PeakFromSpectra(const std::vector<fft::Complex>& x_spectrum,
                            std::size_t m) {
   static thread_local std::vector<double> cc;
   fft::CrossCorrelationFromSpectra(x_spectrum, y_spectrum, m, &cc);
-  return PeakScanWithAbandon(cc);
+  return ScanLags(cc);
 }
 
 // Half-spectrum counterpart: SoA multiply-conjugate + one inverse real
@@ -125,7 +128,7 @@ simd::Peak PeakFromRfft(const fft::RfftPlan& plan, const fft::RfftView& x,
                         const fft::RfftView& y, std::size_t m) {
   static thread_local std::vector<double> cc;
   fft::CrossCorrelationFromRfft(plan, x, y, m, &cc);
-  return PeakScanWithAbandon(cc);
+  return ScanLags(cc);
 }
 
 common::EnvGate g_pruning{"KSHAPE_PRUNE"};
@@ -139,15 +142,21 @@ void SetPruningEnabledForTesting(bool enabled) {
 }
 
 PeakScanTelemetry PeakScanStats() {
+  LagCells& all = Cells();
+  std::lock_guard<std::mutex> lock(all.mu);
   PeakScanTelemetry t;
-  t.lags_scanned = g_peak_lags_scanned.load(std::memory_order_relaxed);
-  t.lags_skipped = g_peak_lags_skipped.load(std::memory_order_relaxed);
+  for (const auto& c : all.cells) {
+    t.lags_scanned += c->scanned.load(std::memory_order_relaxed);
+  }
   return t;
 }
 
 void ResetPeakScanStatsForTesting() {
-  g_peak_lags_scanned.store(0, std::memory_order_relaxed);
-  g_peak_lags_skipped.store(0, std::memory_order_relaxed);
+  LagCells& all = Cells();
+  std::lock_guard<std::mutex> lock(all.mu);
+  for (const auto& c : all.cells) {
+    c->scanned.store(0, std::memory_order_relaxed);
+  }
 }
 
 SbdEngine::SbdEngine(const tseries::SeriesBatch& series,

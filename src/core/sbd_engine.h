@@ -29,12 +29,14 @@ bool PruningEnabled();
 /// regions.
 void SetPruningEnabledForTesting(bool enabled);
 
-/// Process-wide telemetry of the lag-scan early abandon inside the cached
-/// NCC peak scans: lags actually compared versus lags skipped because the
-/// checkpointed suffix energy of the cc buffer certified the rest of the
-/// scan could not beat the running peak (exactness-preserving — the returned
-/// peak value AND index are bit-identical to the full scan). Relaxed atomic
-/// counters; cumulative since process start (or the last reset).
+/// Process-wide telemetry of the cached NCC peak scans: every engine peak
+/// scans the whole 2m-1 lag buffer once, and `lags_scanned` counts those
+/// lags. `lags_skipped` is always 0: the suffix-energy lag-scan abandon it
+/// once counted was removed (its serial energy pass cost more than the
+/// 5–9% of lags it skipped); the field stays for readers of the struct.
+/// Counts live in per-thread cells summed on read, so they are exact and
+/// identical at every thread count; cumulative since process start (or the
+/// last reset).
 struct PeakScanTelemetry {
   long long lags_scanned = 0;
   long long lags_skipped = 0;

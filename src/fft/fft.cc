@@ -41,11 +41,43 @@ Radix2Plan::Radix2Plan(std::size_t n) : n_(n) {
     bit_reverse_[i] = rev;
   }
 
-  twiddles_.resize(n_ / 2);
+  // Each stage's twiddles are a strided subset of w^k = e^{-2*pi*i*k/n},
+  // k in [0, n/2), copied out once so every stage reads them contiguously.
+  std::vector<Complex> twiddles(n_ / 2);
   for (std::size_t k = 0; k < n_ / 2; ++k) {
     const double angle = -2.0 * kPi * static_cast<double>(k) /
                          static_cast<double>(n_);
-    twiddles_[k] = Complex(std::cos(angle), std::sin(angle));
+    twiddles[k] = Complex(std::cos(angle), std::sin(angle));
+  }
+  forward_twiddles_.resize(n_ - 1);
+  inverse_twiddles_.resize(n_ - 1);
+  for (std::size_t half = 1; half < n_; half <<= 1) {
+    const std::size_t step = n_ / (2 * half);
+    for (std::size_t j = 0; j < half; ++j) {
+      forward_twiddles_[half - 1 + j] = twiddles[j * step];
+      inverse_twiddles_[half - 1 + j] = std::conj(twiddles[j * step]);
+    }
+  }
+}
+
+void Radix2Plan::Stages(Complex* data, bool inverse) const {
+  // The butterfly stages run through the dispatched stage kernels (scalar or
+  // AVX2, bit-identical by the kernel contract), two stages per pass; an odd
+  // stage count runs the cheap len-2 stage on its own first.
+  // std::complex<double> is array-layout-compatible with double[2], so the
+  // data buffer and the twiddle tables stream into the kernels directly.
+  const auto& kernels = simd::Active();
+  double* interleaved = reinterpret_cast<double*>(data);
+  const double* tw = reinterpret_cast<const double*>(
+      inverse ? inverse_twiddles_.data() : forward_twiddles_.data());
+  std::size_t len = 2;
+  if (log2n_ % 2 == 1) {
+    kernels.radix2_stage(interleaved, tw, n_, len);
+    len = 4;
+  }
+  for (; 2 * len <= n_; len *= 4) {
+    kernels.radix2_stage_pair(interleaved, tw + 2 * (len / 2 - 1),
+                              tw + 2 * (len - 1), n_, len);
   }
 }
 
@@ -54,16 +86,7 @@ void Radix2Plan::TransformImpl(Complex* data, bool inverse) const {
     const std::size_t j = bit_reverse_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
-  // The butterfly stages run through the dispatched radix2_pass kernel
-  // (scalar or AVX2, bit-identical by the kernel contract).
-  // std::complex<double> is array-layout-compatible with double[2], so the
-  // data buffer and the twiddle table stream into the kernel directly.
-  const auto& kernels = simd::Active();
-  double* interleaved = reinterpret_cast<double*>(data);
-  const double* twiddles = reinterpret_cast<const double*>(twiddles_.data());
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    kernels.radix2_pass(interleaved, twiddles, n_, len, n_ / len, inverse);
-  }
+  Stages(data, inverse);
   if (inverse) {
     const double scale = 1.0 / static_cast<double>(n_);
     for (std::size_t i = 0; i < n_; ++i) data[i] *= scale;
@@ -130,10 +153,8 @@ class BluesteinPlan {
   // Expresses the n-point DFT of `data` as a linear convolution with the
   // cached kernel, evaluated with power-of-two FFTs.
   void Forward(std::vector<Complex>* data) const {
-    // Per-thread scratch keyed by the padded size, so concurrent workers
-    // transforming the same length never share the a-buffer.
-    static thread_local std::map<std::size_t, std::vector<Complex>> scratch;
-    std::vector<Complex>& a = scratch[m_];
+    // Per-thread scratch, so concurrent workers never share the a-buffer.
+    static thread_local std::vector<Complex> a;
     a.assign(m_, Complex(0, 0));
     for (std::size_t j = 0; j < n_; ++j) a[j] = (*data)[j] * chirp_[j];
 
@@ -223,11 +244,10 @@ void CrossCorrelationFromSpectra(const std::vector<Complex>& x_spectrum,
   KSHAPE_CHECK(m >= 1);
   KSHAPE_CHECK(len >= 2 * m - 1);
 
-  // Per-thread product buffer keyed by length, as in CrossCorrelationImpl:
-  // concurrent per-pair evaluations never share scratch, which the bitwise
+  // Per-thread product buffer, as in CrossCorrelationImpl: concurrent
+  // per-pair evaluations never share scratch, which the bitwise
   // thread-count-invariance guarantee relies on.
-  static thread_local std::map<std::size_t, std::vector<Complex>> scratch;
-  std::vector<Complex>& c = scratch[len];
+  static thread_local std::vector<Complex> c;
   c.resize(len);
   // Vectorized X[k] * conj(Y[k]) over the packed (re, im) spectra.
   // std::complex<double> is array-layout-compatible with double[2], so the
@@ -262,7 +282,7 @@ namespace {
 // z = x + i*y once at length fft_len, unpacks the two spectra, multiplies
 // X[k] * conj(Y[k]), and inverse-transforms. SBD calls this once per distance
 // evaluation — the hottest path in the library — so the transform buffers are
-// cached per size instead of being reallocated on every call. The cache is
+// cached instead of being reallocated on every call. The cache is
 // thread_local: every ParallelFor worker gets its own scratch, so concurrent
 // SBD evaluations never share FFT buffers (a requirement of the library's
 // thread-count-invariance guarantee).
@@ -274,18 +294,12 @@ std::vector<double> CrossCorrelationImpl(std::span<const double> x,
   KSHAPE_CHECK(m >= 1);
   KSHAPE_CHECK(fft_len >= 2 * m - 1);
 
-  struct Workspace {
-    std::vector<Complex> z;
-    std::vector<Complex> c;
-  };
-  // A value (not a leaked pointer like the plan cache) so each pool worker's
+  // Values (not leaked pointers like the plan cache) so each pool worker's
   // scratch is reclaimed when its thread exits.
-  static thread_local std::map<std::size_t, Workspace> workspaces;
-  Workspace& ws = workspaces[fft_len];
-  ws.z.assign(fft_len, Complex(0, 0));
-  ws.c.resize(fft_len);
-  std::vector<Complex>& z = ws.z;
-  std::vector<Complex>& c = ws.c;
+  static thread_local std::vector<Complex> z;
+  static thread_local std::vector<Complex> c;
+  z.assign(fft_len, Complex(0, 0));
+  c.resize(fft_len);
 
   for (std::size_t i = 0; i < m; ++i) z[i] = Complex(x[i], y[i]);
   Forward(&z);

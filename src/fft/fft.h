@@ -34,6 +34,18 @@ class Radix2Plan {
   /// In-place inverse DFT of `data` (length n()), including the 1/n scaling.
   void Inverse(Complex* data) const;
 
+  /// The butterfly stages alone, for input that is already in bit-reversed
+  /// order (data[bit_reverse()[k]] holds element k): no permutation and no
+  /// 1/n scaling. Forward() is the swap permutation, Stages(data, false);
+  /// Inverse() is the swap, Stages(data, true), then the scaling. Callers
+  /// that produce their input element by element (the real-input transforms
+  /// of rfft.h) write it straight to its bit-reversed slot instead.
+  void Stages(Complex* data, bool inverse) const;
+
+  /// The bit-reversal permutation: bit_reverse()[i] reverses the log2(n) bits
+  /// of i. An involution.
+  const std::vector<std::size_t>& bit_reverse() const { return bit_reverse_; }
+
   /// The transform size.
   std::size_t n() const { return n_; }
 
@@ -43,8 +55,11 @@ class Radix2Plan {
   std::size_t n_;
   std::size_t log2n_;
   std::vector<std::size_t> bit_reverse_;
-  // Twiddles for the forward direction; the inverse uses their conjugates.
-  std::vector<Complex> twiddles_;
+  // Per-stage contiguous twiddle tables, n-1 complexes each: the stage with
+  // block length len reads its len/2 twiddles w^(j*n/len), w = e^{-2*pi*i/n},
+  // from offset len/2 - 1. The inverse table holds their conjugates.
+  std::vector<Complex> forward_twiddles_;
+  std::vector<Complex> inverse_twiddles_;
 };
 
 /// Returns a cached plan for the power-of-two size `n`.

@@ -61,6 +61,14 @@ class RfftPlan {
   /// Writes n values into `out`.
   void Inverse(const double* re, const double* im, double* out) const;
 
+  /// Inverse C2R transform written in cross-correlation lag order: for a
+  /// packed product spectrum of two length-m series (2m-1 <= n), fills the
+  /// 2m-1 values cc[i] = x[(i - (m-1)) mod n], i.e. the same values and lag
+  /// layout as Inverse followed by the circular relayout of
+  /// CrossCorrelationFft, with no n-long time-domain buffer in between.
+  void InverseLags(const double* re, const double* im, std::size_t m,
+                   double* cc) const;
+
   /// The transform size.
   std::size_t n() const { return n_; }
 
@@ -68,10 +76,20 @@ class RfftPlan {
   std::size_t bins() const { return RfftBins(n_); }
 
  private:
+  // Power-of-two path of the inverse: unpacks the bins into the half-size
+  // spectrum and runs its inverse butterfly stages, in per-thread scratch.
+  // Returns the n time-domain samples (the interleaved re, im of the h = n/2
+  // complex results), still to be scaled by 1/h.
+  const double* UnscaledPackedInverse(const double* re,
+                                      const double* im) const;
+
   std::size_t n_;
   bool packed_;                  // power-of-two n >= 2: even/odd packing path
   const Radix2Plan* half_plan_;  // GetPlan(n/2) when packed_
   std::vector<Complex> twiddles_;  // e^{-2*pi*i*k/n}, k in [0, n/2]
+  // conj(twiddles_[k]) as split planes, k in [0, n/2), for the inverse.
+  std::vector<double> conj_tw_re_;
+  std::vector<double> conj_tw_im_;
 };
 
 /// Returns a cached plan for size `n` (same never-destroyed, mutex-guarded

@@ -124,11 +124,6 @@ inline double AbsProductPartialSums(std::span<const double> a_mag,
                                            a_mag.size(), threshold);
 }
 
-inline void Radix2Pass(double* data, const double* twiddles, std::size_t n,
-                       std::size_t len, std::size_t step, bool inverse) {
-  Active().radix2_pass(data, twiddles, n, len, step, inverse);
-}
-
 inline void DotAxpyRows(const double* rows, std::size_t num_rows,
                         std::size_t m, std::span<const double> u,
                         std::span<double> out) {

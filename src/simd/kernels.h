@@ -134,20 +134,36 @@ struct KernelTable {
                                      double threshold);
 
   /// One radix-2 Cooley–Tukey butterfly stage over `n` interleaved (re, im)
-  /// complex doubles, for block length `len` (a power of two, 2 <= len <= n)
-  /// and twiddle stride `step` = n / len. `twiddles` is the interleaved
-  /// forward table w[k] = exp(-2πik/n), k in [0, n/2). For every block base
-  /// (multiples of len) and j in [0, len/2):
-  ///   w = twiddles[j*step], conjugated when `inverse`
+  /// complex doubles, for block length `len` (a power of two, 2 <= len <= n).
+  /// `stage_tw` is this stage's contiguous twiddle table of len/2 interleaved
+  /// complexes, already in the transform's direction (the caller conjugates
+  /// it for an inverse). For every block base (multiples of len) and j in
+  /// [0, len/2):
+  ///   w = stage_tw[j]
   ///   v = data[base+j+len/2] * w   (re = xr*wr - xi*wi, im = xr*wi + xi*wr,
   ///                                 every product rounded separately, no FMA)
   ///   data[base+j]       = u + v
   ///   data[base+j+len/2] = u - v
-  /// Backends vectorize across adjacent j (u/v loads are contiguous complex
+  /// Backends vectorize across adjacent j (u/v/w loads are contiguous complex
   /// pairs once len >= 4) and share the identical per-butterfly rounding
-  /// sequence, so transforms are bit-identical across backends.
-  void (*radix2_pass)(double* data, const double* twiddles, std::size_t n,
-                      std::size_t len, std::size_t step, bool inverse);
+  /// sequence, so transforms are bit-identical across backends. At len == 2
+  /// (w = 1 ± 0i) the AVX2 backend adds without the multiply while the scalar
+  /// backend multiplies by stage_tw[0]; the two can differ only in the sign
+  /// of an exact zero.
+  void (*radix2_stage)(double* data, const double* stage_tw, std::size_t n,
+                       std::size_t len);
+
+  /// Stages `len` and `2*len` of the same transform in one pass (requires
+  /// 2*len <= n): for every 2*len block and j in [0, len/2) the four complexes
+  /// at offsets j, j+len/2, j+len, j+3len/2 are loaded once, run their two
+  /// len-stage butterflies (twiddle tw_len[j]) and their two 2*len-stage
+  /// butterflies (tw_2len[j] and tw_2len[j+len/2]) in registers, and are
+  /// stored once. Every butterfly is the radix2_stage butterfly on the same
+  /// inputs (including the len == 2 case of each backend), so the result is
+  /// bit-identical to radix2_stage(len) followed by radix2_stage(2*len).
+  void (*radix2_stage_pair)(double* data, const double* tw_len,
+                            const double* tw_2len, std::size_t n,
+                            std::size_t len);
 
   /// Fused member pass of the matrix-free shape-extraction matvec. For each
   /// row r in [0, num_rows) of the contiguous row-major pool `rows` (row r

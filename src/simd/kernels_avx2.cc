@@ -377,13 +377,29 @@ double AbsProductPartialSumsAvx2(const double* a_mag, const double* b_mag,
   return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
-void Radix2PassAvx2(double* data, const double* twiddles, std::size_t n,
-                    std::size_t len, std::size_t step, bool inverse) {
+// Two complex products x * w at once over interleaved pairs:
+//   re = xr*wr - xi*wi,  im = xi*wr + xr*wi
+// via t1 = [xr*wr, xi*wr], t2 = [xi*wi, xr*wi], then t1 + (t2 with the even
+// lanes sign-flipped). A plain add (not _mm256_addsub_pd) on purpose, the
+// non-conjugate mirror of ComplexMulConjAvx2: GCC folds mul feeding addsub
+// into vfmsubadd even at -ffp-contract=off, which would fuse a rounding away
+// and break bit-identity with the scalar backend.
+inline __m256d ComplexMul2(__m256d x, __m256d w) {
+  const __m256d even_flip = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+  const __m256d w_re = _mm256_movedup_pd(w);       // [wr, wr, ...]
+  const __m256d w_im = _mm256_permute_pd(w, 0xF);  // [wi, wi, ...]
+  const __m256d x_sw = _mm256_permute_pd(x, 0x5);  // [xi, xr, ...]
+  const __m256d t1 = _mm256_mul_pd(x, w_re);
+  const __m256d t2 = _mm256_mul_pd(x_sw, w_im);
+  return _mm256_add_pd(t1, _mm256_xor_pd(t2, even_flip));
+}
+
+void Radix2StageAvx2(double* data, const double* stage_tw, std::size_t n,
+                     std::size_t len) {
   const std::size_t half = len / 2;
   if (half < 2) {
     // len == 2: w = 1, adjacent complexes — the shuffle-heavy vector form
-    // buys nothing, so run the scalar butterflies (identical source to the
-    // scalar backend, same TU flags, trivially bit-identical).
+    // buys nothing, so run the butterflies as plain adds.
     for (std::size_t base = 0; base < n; base += 2) {
       const std::size_t lo = 2 * base;
       const std::size_t hi = lo + 2;
@@ -398,31 +414,69 @@ void Radix2PassAvx2(double* data, const double* twiddles, std::size_t n,
     }
     return;
   }
-  // -0.0 on the even (real) lanes only: v_re = xr*wr - xi*wi needs the first
-  // product of each pair sign-flipped before the plain add (the non-conjugate
-  // mirror of ComplexMulConjAvx2; same no-addsub rationale — GCC would fuse
-  // mul+addsub into vfmsubadd and break bit-identity with scalar).
-  const __m256d even_flip = _mm256_set_pd(0.0, -0.0, 0.0, -0.0);
+  // half is a power of two >= 2, so the j-loop pairs up with no tail; u, x
+  // and the twiddles are all contiguous complex pairs.
   for (std::size_t base = 0; base < n; base += len) {
-    // half is a power of two >= 2, so the j-loop pairs up with no tail; u and
-    // x loads are contiguous complex pairs, only the twiddles are strided.
+    double* lo = data + 2 * base;
+    double* hi = lo + 2 * half;
     for (std::size_t j = 0; j < half; j += 2) {
-      const std::size_t tw0 = 2 * (j * step);
-      const std::size_t tw1 = 2 * ((j + 1) * step);
-      const double wi0 = inverse ? -twiddles[tw0 + 1] : twiddles[tw0 + 1];
-      const double wi1 = inverse ? -twiddles[tw1 + 1] : twiddles[tw1 + 1];
-      const __m256d w =
-          _mm256_set_pd(wi1, twiddles[tw1], wi0, twiddles[tw0]);
-      const __m256d u = _mm256_loadu_pd(data + 2 * (base + j));
-      const __m256d x = _mm256_loadu_pd(data + 2 * (base + j + half));
-      const __m256d w_re = _mm256_movedup_pd(w);        // [wr, wr, ...]
-      const __m256d w_im = _mm256_permute_pd(w, 0xF);   // [wi, wi, ...]
-      const __m256d x_sw = _mm256_permute_pd(x, 0x5);   // [xi, xr, ...]
-      const __m256d t1 = _mm256_mul_pd(x, w_re);        // [xr*wr, xi*wr]
-      const __m256d t2 = _mm256_mul_pd(x_sw, w_im);     // [xi*wi, xr*wi]
-      const __m256d v = _mm256_add_pd(t1, _mm256_xor_pd(t2, even_flip));
-      _mm256_storeu_pd(data + 2 * (base + j), _mm256_add_pd(u, v));
-      _mm256_storeu_pd(data + 2 * (base + j + half), _mm256_sub_pd(u, v));
+      const __m256d u = _mm256_loadu_pd(lo + 2 * j);
+      const __m256d v = ComplexMul2(_mm256_loadu_pd(hi + 2 * j),
+                                    _mm256_loadu_pd(stage_tw + 2 * j));
+      _mm256_storeu_pd(lo + 2 * j, _mm256_add_pd(u, v));
+      _mm256_storeu_pd(hi + 2 * j, _mm256_sub_pd(u, v));
+    }
+  }
+}
+
+void Radix2StagePairAvx2(double* data, const double* tw_len,
+                         const double* tw_2len, std::size_t n,
+                         std::size_t len) {
+  const std::size_t half = len / 2;
+  if (half < 2) {
+    // len == 2: each 4-complex block [a b c d] runs the add-only len-2
+    // butterflies (a, b), (c, d) — as in Radix2StageAvx2 — then the len-4
+    // butterflies (a', c') and (b', d') with twiddles tw_2len[0..1].
+    const __m256d w = _mm256_loadu_pd(tw_2len);
+    for (std::size_t base = 0; base < n; base += 4) {
+      double* p = data + 2 * base;
+      const __m256d r0 = _mm256_loadu_pd(p);      // [a, b]
+      const __m256d r1 = _mm256_loadu_pd(p + 4);  // [c, d]
+      const __m256d ac = _mm256_permute2f128_pd(r0, r1, 0x20);
+      const __m256d bd = _mm256_permute2f128_pd(r0, r1, 0x31);
+      const __m256d s = _mm256_add_pd(ac, bd);  // [a', c']
+      const __m256d t = _mm256_sub_pd(ac, bd);  // [b', d']
+      const __m256d u = _mm256_permute2f128_pd(s, t, 0x20);  // [a', b']
+      const __m256d x = _mm256_permute2f128_pd(s, t, 0x31);  // [c', d']
+      const __m256d v = ComplexMul2(x, w);
+      _mm256_storeu_pd(p, _mm256_add_pd(u, v));
+      _mm256_storeu_pd(p + 4, _mm256_sub_pd(u, v));
+    }
+    return;
+  }
+  for (std::size_t base = 0; base < n; base += 2 * len) {
+    double* pa = data + 2 * base;
+    double* pb = pa + 2 * half;
+    double* pc = pa + 2 * len;
+    double* pd = pc + 2 * half;
+    for (std::size_t j = 0; j < half; j += 2) {
+      const std::size_t o = 2 * j;
+      const __m256d w1 = _mm256_loadu_pd(tw_len + o);
+      const __m256d a = _mm256_loadu_pd(pa + o);
+      const __m256d c = _mm256_loadu_pd(pc + o);
+      const __m256d vb = ComplexMul2(_mm256_loadu_pd(pb + o), w1);
+      const __m256d vd = ComplexMul2(_mm256_loadu_pd(pd + o), w1);
+      const __m256d a1 = _mm256_add_pd(a, vb);
+      const __m256d b1 = _mm256_sub_pd(a, vb);
+      const __m256d c1 = _mm256_add_pd(c, vd);
+      const __m256d d1 = _mm256_sub_pd(c, vd);
+      const __m256d vc = ComplexMul2(c1, _mm256_loadu_pd(tw_2len + o));
+      const __m256d vd2 =
+          ComplexMul2(d1, _mm256_loadu_pd(tw_2len + o + 2 * half));
+      _mm256_storeu_pd(pa + o, _mm256_add_pd(a1, vc));
+      _mm256_storeu_pd(pc + o, _mm256_sub_pd(a1, vc));
+      _mm256_storeu_pd(pb + o, _mm256_add_pd(b1, vd2));
+      _mm256_storeu_pd(pd + o, _mm256_sub_pd(b1, vd2));
     }
   }
 }
@@ -462,7 +516,8 @@ const KernelTable* Avx2Kernels() {
       ApplyZNormAvx2,
       DtwRowAvx2,
       AbsProductPartialSumsAvx2,
-      Radix2PassAvx2,
+      Radix2StageAvx2,
+      Radix2StagePairAvx2,
       DotAxpyRowsAvx2,
   };
   return &table;

@@ -293,26 +293,46 @@ double AbsProductPartialSumsScalar(const double* a_mag, const double* b_mag,
   return Reduce4(acc);
 }
 
-void Radix2PassScalar(double* data, const double* twiddles, std::size_t n,
-                      std::size_t len, std::size_t step, bool inverse) {
+// One radix-2 butterfly: v = x * w (each product rounded separately), then
+// (u + v, u - v). `lo` and `hi` point at interleaved complexes.
+inline void Butterfly(double* lo, double* hi, double wr, double wi) {
+  const double ur = lo[0];
+  const double ui = lo[1];
+  const double xr = hi[0];
+  const double xi = hi[1];
+  const double vr = xr * wr - xi * wi;
+  const double vi = xr * wi + xi * wr;
+  lo[0] = ur + vr;
+  lo[1] = ui + vi;
+  hi[0] = ur - vr;
+  hi[1] = ui - vi;
+}
+
+void Radix2StageScalar(double* data, const double* stage_tw, std::size_t n,
+                       std::size_t len) {
   const std::size_t half = len / 2;
   for (std::size_t base = 0; base < n; base += len) {
     for (std::size_t j = 0; j < half; ++j) {
-      const std::size_t tw = 2 * (j * step);
-      const double wr = twiddles[tw];
-      const double wi = inverse ? -twiddles[tw + 1] : twiddles[tw + 1];
-      const std::size_t lo = 2 * (base + j);
-      const std::size_t hi = 2 * (base + j + half);
-      const double ur = data[lo];
-      const double ui = data[lo + 1];
-      const double xr = data[hi];
-      const double xi = data[hi + 1];
-      const double vr = xr * wr - xi * wi;
-      const double vi = xr * wi + xi * wr;
-      data[lo] = ur + vr;
-      data[lo + 1] = ui + vi;
-      data[hi] = ur - vr;
-      data[hi + 1] = ui - vi;
+      Butterfly(data + 2 * (base + j), data + 2 * (base + j + half),
+                stage_tw[2 * j], stage_tw[2 * j + 1]);
+    }
+  }
+}
+
+void Radix2StagePairScalar(double* data, const double* tw_len,
+                           const double* tw_2len, std::size_t n,
+                           std::size_t len) {
+  const std::size_t half = len / 2;
+  for (std::size_t base = 0; base < n; base += 2 * len) {
+    for (std::size_t j = 0; j < half; ++j) {
+      double* a = data + 2 * (base + j);
+      double* b = a + 2 * half;
+      double* c = a + 2 * len;
+      double* d = c + 2 * half;
+      Butterfly(a, b, tw_len[2 * j], tw_len[2 * j + 1]);
+      Butterfly(c, d, tw_len[2 * j], tw_len[2 * j + 1]);
+      Butterfly(a, c, tw_2len[2 * j], tw_2len[2 * j + 1]);
+      Butterfly(b, d, tw_2len[2 * (j + half)], tw_2len[2 * (j + half) + 1]);
     }
   }
 }
@@ -350,7 +370,8 @@ const KernelTable& ScalarKernels() {
       ApplyZNormScalar,
       DtwRowScalar,
       AbsProductPartialSumsScalar,
-      Radix2PassScalar,
+      Radix2StageScalar,
+      Radix2StagePairScalar,
       DotAxpyRowsScalar,
   };
   return table;

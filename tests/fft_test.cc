@@ -280,10 +280,11 @@ TEST(PlanCacheTest, ReturnsSameObjectForSameSize) {
   EXPECT_EQ(a.n(), 64u);
 }
 
-// The radix-2 butterfly passes route through the simd::radix2_pass kernel,
-// whose scalar and AVX2 variants promise bit-identical results (fixed
-// rounding sequence, no FMA contraction). These tests pin that contract at
-// the transform level: flipping the backend must not move a single bit.
+// The radix-2 butterfly stages route through the simd::radix2_stage and
+// radix2_stage_pair kernels, whose scalar and AVX2 variants promise
+// bit-identical results (fixed rounding sequence, no FMA contraction). These
+// tests pin that contract at the transform level: flipping the backend must
+// not move a single bit.
 class FftBackendTest : public ::testing::Test {
  protected:
   void SetUp() override { original_ = simd::ActiveBackend(); }

@@ -568,37 +568,41 @@ TEST(OnlineScorerTest, TryIngestRejectsBadSeries) {
   EXPECT_EQ(scorer.ingested(), 1u);
 }
 
-// Satellite: the early-abandoned NCC peak scan. The abandon is exact — the
-// peak (value AND index) must be bit-identical with the gate on or off — and
-// its telemetry partitions the lag range into scanned + skipped.
-TEST(PeakScanAbandonTest, ExactAcrossTheGateWithTelemetryPartition) {
+// The engine's peak scan reads every lag of every pair: the lag counter
+// must total pairs·(2m-1) at every thread count (per-thread cells summed on
+// read), nothing is ever skipped, and the distances are bit-identical with
+// the pruning gate on or off — the gate drives bound-based pruning only, not
+// the peak scan.
+TEST(PeakScanStatsTest, CountsEveryLagAtEveryThreadCount) {
   ConfigGuard guard;
-  tseries::Dataset data = MakeCbfDataset("cbf-peak", 4, kLength, 33);
+  tseries::Dataset data = MakeCbfDataset("cbf-peak", 10, kLength, 33);
   const core::SbdEngine engine(data.batch(), core::CrossCorrelationImpl::kFft,
                                fft::HalfSpectrumEnabled(),
                                /*build_bound_planes=*/false);
+  const long long n = static_cast<long long>(data.size());
+  const long long expected_lags =
+      n * (n - 1) / 2 * static_cast<long long>(2 * kLength - 1);
 
-  // Gate off: the full lag range is scanned.
-  core::SetPruningEnabledForTesting(false);
-  core::ResetPeakScanStatsForTesting();
-  std::vector<double> exact;
-  for (std::size_t i = 1; i < data.size(); ++i) {
-    exact.push_back(engine.Distance(0, i));
+  std::vector<double> reference;
+  for (const int threads : {1, 2, 8}) {
+    common::SetThreadCount(threads);
+    for (const bool prune : {true, false}) {
+      core::SetPruningEnabledForTesting(prune);
+      core::ResetPeakScanStatsForTesting();
+      std::vector<double> flat;
+      engine.PairwiseFlat(&flat);
+      const core::PeakScanTelemetry stats = core::PeakScanStats();
+      EXPECT_EQ(stats.lags_scanned, expected_lags)
+          << "threads=" << threads << " prune=" << prune;
+      EXPECT_EQ(stats.lags_skipped, 0);
+      if (reference.empty()) reference = flat;
+      ASSERT_EQ(flat.size(), reference.size());
+      EXPECT_EQ(std::memcmp(flat.data(), reference.data(),
+                            flat.size() * sizeof(double)),
+                0)
+          << "threads=" << threads << " prune=" << prune;
+    }
   }
-  const core::PeakScanTelemetry off = core::PeakScanStats();
-  EXPECT_GT(off.lags_scanned, 0);
-  EXPECT_EQ(off.lags_skipped, 0);
-
-  // Gate on: some suffix chunks may be skipped, but scanned + skipped must
-  // cover the same total lag range, and every distance is bit-identical.
-  core::SetPruningEnabledForTesting(true);
-  core::ResetPeakScanStatsForTesting();
-  for (std::size_t i = 1; i < data.size(); ++i) {
-    EXPECT_EQ(engine.Distance(0, i), exact[i - 1]) << "pair (0," << i << ")";
-  }
-  const core::PeakScanTelemetry on = core::PeakScanStats();
-  EXPECT_EQ(on.lags_scanned + on.lags_skipped, off.lags_scanned);
-  EXPECT_GE(on.lags_skipped, 0);
   core::ResetPeakScanStatsForTesting();
 }
 

@@ -384,6 +384,227 @@ TEST(RfftTest, RepeatedEvaluationIsBitStable) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Bit-identity oracle. The reference below computes the power-of-two RFFT
+// path in separate passes: a swap bit-reversal, radix-2 stages reading a
+// strided twiddle table, a separate 1/h scaling pass, an unpack written in
+// std::complex, and a relayout of the time-domain buffer into lag order.
+// The library's fused path (bit-reversed writes, contiguous per-stage
+// twiddles, paired stages, the unpack in real arithmetic, the scaling folded
+// into the lag write) promises the same bits. The comparisons are on bytes,
+// so signed zeros count.
+// ---------------------------------------------------------------------------
+
+// Radix-2 transform in the separate-pass form. `add_only_len2` mirrors the
+// AVX2 backend's len-2 stage (a plain add; the scalar backend multiplies by
+// the unit twiddle, which can flip the sign of an exact zero).
+void ReferenceRadix2(std::vector<Complex>* data, bool inverse,
+                     bool add_only_len2) {
+  const std::size_t n = data->size();
+  std::size_t log2n = 0;
+  while ((std::size_t{1} << log2n) < n) ++log2n;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t rev = 0;
+    for (std::size_t b = 0, v = i; b < log2n; ++b, v >>= 1) {
+      rev = (rev << 1) | (v & 1);
+    }
+    if (i < rev) std::swap((*data)[i], (*data)[rev]);
+  }
+  std::vector<Complex> twiddles(n / 2);
+  for (std::size_t k = 0; k < n / 2; ++k) {
+    const double angle =
+        -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
+    twiddles[k] = Complex(std::cos(angle), std::sin(angle));
+  }
+  double* d = reinterpret_cast<double*>(data->data());
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const std::size_t half = len / 2;
+    const std::size_t step = n / len;
+    for (std::size_t base = 0; base < n; base += len) {
+      for (std::size_t j = 0; j < half; ++j) {
+        const double wr = twiddles[j * step].real();
+        const double wi = inverse ? -twiddles[j * step].imag()
+                                  : twiddles[j * step].imag();
+        double* lo = d + 2 * (base + j);
+        double* hi = d + 2 * (base + j + half);
+        const double ur = lo[0];
+        const double ui = lo[1];
+        double vr = hi[0];
+        double vi = hi[1];
+        if (!(len == 2 && add_only_len2)) {
+          const double xr = hi[0];
+          const double xi = hi[1];
+          vr = xr * wr - xi * wi;
+          vi = xr * wi + xi * wr;
+        }
+        lo[0] = ur + vr;
+        lo[1] = ui + vi;
+        hi[0] = ur - vr;
+        hi[1] = ui - vi;
+      }
+    }
+  }
+  if (inverse) {
+    const double scale = 1.0 / static_cast<double>(n);
+    for (Complex& v : *data) v *= scale;
+  }
+}
+
+std::vector<Complex> ReferenceUnpackTwiddles(std::size_t n) {
+  std::vector<Complex> tw(n / 2 + 1);
+  for (std::size_t k = 0; k < tw.size(); ++k) {
+    const double angle =
+        -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
+    tw[k] = Complex(std::cos(angle), std::sin(angle));
+  }
+  return tw;
+}
+
+// Packed half spectrum of x zero-padded to power-of-two n.
+RfftSpectrum ReferenceForward(const std::vector<double>& x, std::size_t n,
+                              bool add_only_len2) {
+  RfftSpectrum out;
+  out.fft_len = n;
+  out.re.assign(RfftBins(n), 0.0);
+  out.im.assign(RfftBins(n), 0.0);
+  if (n == 1) {
+    out.re[0] = x.empty() ? 0.0 : x[0];
+    return out;
+  }
+  const std::size_t h = n / 2;
+  std::vector<Complex> z(h);
+  for (std::size_t j = 0; j < h; ++j) {
+    const double re = 2 * j < x.size() ? x[2 * j] : 0.0;
+    const double im = 2 * j + 1 < x.size() ? x[2 * j + 1] : 0.0;
+    z[j] = Complex(re, im);
+  }
+  ReferenceRadix2(&z, /*inverse=*/false, add_only_len2);
+  const std::vector<Complex> tw = ReferenceUnpackTwiddles(n);
+  out.re[0] = z[0].real() + z[0].imag();
+  out.im[0] = 0.0;
+  out.re[h] = z[0].real() - z[0].imag();
+  out.im[h] = 0.0;
+  for (std::size_t k = 1; k < h; ++k) {
+    const Complex zk = z[k];
+    const Complex zmk = std::conj(z[h - k]);
+    const Complex even = 0.5 * (zk + zmk);
+    const Complex odd = Complex(0, -0.5) * (zk - zmk);
+    const Complex bin = even + tw[k] * odd;
+    out.re[k] = bin.real();
+    out.im[k] = bin.imag();
+  }
+  return out;
+}
+
+// n real samples from a packed half spectrum, power-of-two n.
+std::vector<double> ReferenceInverse(const std::vector<double>& re,
+                                     const std::vector<double>& im,
+                                     std::size_t n, bool add_only_len2) {
+  if (n == 1) return {re[0]};
+  const std::size_t h = n / 2;
+  const std::vector<Complex> tw = ReferenceUnpackTwiddles(n);
+  const auto bin = [&](std::size_t k) {
+    return Complex(re[k], (k == 0 || k == h) ? 0.0 : im[k]);
+  };
+  std::vector<Complex> z(h);
+  for (std::size_t k = 0; k < h; ++k) {
+    const Complex ck = bin(k);
+    const Complex cmk = std::conj(bin(h - k));
+    const Complex even = 0.5 * (ck + cmk);
+    const Complex odd = 0.5 * (ck - cmk) * std::conj(tw[k]);
+    z[k] = even + Complex(0, 1) * odd;
+  }
+  ReferenceRadix2(&z, /*inverse=*/true, add_only_len2);
+  std::vector<double> out(n);
+  for (std::size_t j = 0; j < h; ++j) {
+    out[2 * j] = z[j].real();
+    out[2 * j + 1] = z[j].imag();
+  }
+  return out;
+}
+
+// The 2m-1 lags of the cross-correlation of two packed spectra.
+std::vector<double> ReferenceCrossCorrelation(const RfftSpectrum& x,
+                                              const RfftSpectrum& y,
+                                              std::size_t m,
+                                              bool add_only_len2) {
+  const std::size_t len = x.fft_len;
+  const std::size_t b = RfftBins(len);
+  std::vector<double> pr(b), pi(b);
+  for (std::size_t k = 0; k < b; ++k) {
+    pr[k] = x.re[k] * y.re[k] + x.im[k] * y.im[k];
+    pi[k] = x.im[k] * y.re[k] - x.re[k] * y.im[k];
+  }
+  const std::vector<double> time = ReferenceInverse(pr, pi, len, add_only_len2);
+  std::vector<double> cc(2 * m - 1);
+  for (std::size_t i = 0; i < 2 * m - 1; ++i) {
+    const long long lag =
+        static_cast<long long>(i) - static_cast<long long>(m - 1);
+    cc[i] = time[lag >= 0 ? static_cast<std::size_t>(lag)
+                          : len - static_cast<std::size_t>(-lag)];
+  }
+  return cc;
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(RfftOracleTest, FusedPathMatchesSeparatePassCompositionBitwise) {
+  HalfSpectrumGuard guard;
+  std::vector<simd::Backend> backends = {simd::Backend::kScalar};
+  if (simd::Avx2Available()) backends.push_back(simd::Backend::kAvx2);
+  for (const simd::Backend backend : backends) {
+    simd::SetBackendForTesting(backend);
+    const bool add_only_len2 = backend == simd::Backend::kAvx2;
+    for (const std::size_t m :
+         {1u, 2u, 3u, 5u, 33u, 64u, 128u, 129u, 512u, 1000u, 4096u}) {
+      const std::size_t len = NextPowerOfTwo(2 * m - 1);
+      common::Rng rng(m * 977 + 5);
+      std::vector<std::vector<double>> series = {
+          RandomRealVector(m, &rng), std::vector<double>(m, 0.0),
+          std::vector<double>(m, 2.5), std::vector<double>(m)};
+      for (std::size_t t = 0; t < m; ++t) {
+        series[3][t] = t % 2 == 0 ? 1.0 : -1.0;
+      }
+      // Negative zeros and a lone impulse: exact zeros everywhere, where
+      // only the operation sequence decides a zero's sign.
+      series.push_back(std::vector<double>(m, -0.0));
+      series.push_back(std::vector<double>(m, 0.0));
+      series.back()[m - 1] = -3.0;
+      std::vector<RfftSpectrum> spectra;
+      for (std::size_t s = 0; s < series.size(); ++s) {
+        const RfftSpectrum got = RfftForward(series[s], len);
+        const RfftSpectrum want =
+            ReferenceForward(series[s], len, add_only_len2);
+        EXPECT_TRUE(SameBytes(got.re, want.re) && SameBytes(got.im, want.im))
+            << "forward, backend=" << static_cast<int>(backend)
+            << " m=" << m << " series=" << s;
+        std::vector<double> back(len);
+        GetRfftPlan(len).Inverse(got.re.data(), got.im.data(), back.data());
+        EXPECT_TRUE(SameBytes(
+            back, ReferenceInverse(got.re, got.im, len, add_only_len2)))
+            << "inverse, backend=" << static_cast<int>(backend)
+            << " m=" << m << " series=" << s;
+        spectra.push_back(got);
+      }
+      for (std::size_t a = 0; a < spectra.size(); ++a) {
+        for (std::size_t b = 0; b < spectra.size(); ++b) {
+          std::vector<double> cc;
+          CrossCorrelationFromRfft(spectra[a].view(), spectra[b].view(), m,
+                                   &cc);
+          EXPECT_TRUE(SameBytes(cc, ReferenceCrossCorrelation(
+                                        spectra[a], spectra[b], m,
+                                        add_only_len2)))
+              << "cc, backend=" << static_cast<int>(backend) << " m=" << m
+              << " pair=(" << a << "," << b << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(RfftPlanCacheTest, ReturnsSameObjectForSameSize) {
   const RfftPlan& a = GetRfftPlan(64);
   const RfftPlan& b = GetRfftPlan(64);

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -285,6 +286,83 @@ TEST_F(BitIdentityTest, DtwRow) {
                       count);
       avx2_.dtw_row(prev.data(), y.data(), xi, left_seed, cur_v.data(), count);
       EXPECT_EQ(cur_s, cur_v) << "count=" << count;
+    }
+  }
+}
+
+// The radix-2 stage kernels, over every stage of every power-of-two size up
+// to 4096, with the per-stage twiddle tables laid out as fft::Radix2Plan
+// lays them out: the stage with block length len reads its len/2 twiddles
+// e^{-2*pi*i*j/len} (conjugated for the inverse) from offset len/2 - 1.
+constexpr std::size_t kMaxFftSize = 4096;
+
+std::vector<double> StageTwiddles(std::size_t n, bool inverse) {
+  std::vector<double> tw(2 * (n - 1));
+  for (std::size_t half = 1; half < n; half <<= 1) {
+    for (std::size_t j = 0; j < half; ++j) {
+      const double angle = -3.14159265358979323846 * static_cast<double>(j) /
+                           static_cast<double>(half);
+      tw[2 * (half - 1 + j)] = std::cos(angle);
+      tw[2 * (half - 1 + j) + 1] =
+          inverse ? -std::sin(angle) : std::sin(angle);
+    }
+  }
+  return tw;
+}
+
+bool BitwiseEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST_F(BitIdentityTest, Radix2StageAndStagePair) {
+  common::Rng rng(113);
+  for (std::size_t n = 2; n <= kMaxFftSize; n <<= 1) {
+    const std::vector<double> data = RandomBuffer(2 * n, &rng);
+    for (const bool inverse : {false, true}) {
+      const std::vector<double> tw = StageTwiddles(n, inverse);
+      for (std::size_t len = 2; len <= n; len <<= 1) {
+        const double* tw_len = tw.data() + 2 * (len / 2 - 1);
+        std::vector<double> s = data;
+        std::vector<double> v = data;
+        scalar_.radix2_stage(s.data(), tw_len, n, len);
+        avx2_.radix2_stage(v.data(), tw_len, n, len);
+        EXPECT_TRUE(BitwiseEqual(s, v))
+            << "stage n=" << n << " len=" << len << " inverse=" << inverse;
+        if (2 * len > n) continue;
+        const double* tw_2len = tw.data() + 2 * (len - 1);
+        s = data;
+        v = data;
+        scalar_.radix2_stage_pair(s.data(), tw_len, tw_2len, n, len);
+        avx2_.radix2_stage_pair(v.data(), tw_len, tw_2len, n, len);
+        EXPECT_TRUE(BitwiseEqual(s, v))
+            << "pair n=" << n << " len=" << len << " inverse=" << inverse;
+      }
+    }
+  }
+}
+
+TEST(Radix2StagePairTest, EqualsTwoSingleStagesInEveryBackend) {
+  common::Rng rng(127);
+  for (const Backend backend : AvailableBackends()) {
+    const KernelTable& kt = simd::Kernels(backend);
+    for (std::size_t n = 4; n <= kMaxFftSize; n <<= 1) {
+      const std::vector<double> data = RandomBuffer(2 * n, &rng);
+      for (const bool inverse : {false, true}) {
+        const std::vector<double> tw = StageTwiddles(n, inverse);
+        for (std::size_t len = 2; 2 * len <= n; len <<= 1) {
+          const double* tw_len = tw.data() + 2 * (len / 2 - 1);
+          const double* tw_2len = tw.data() + 2 * (len - 1);
+          std::vector<double> two = data;
+          kt.radix2_stage(two.data(), tw_len, n, len);
+          kt.radix2_stage(two.data(), tw_2len, n, 2 * len);
+          std::vector<double> pair = data;
+          kt.radix2_stage_pair(pair.data(), tw_len, tw_2len, n, len);
+          EXPECT_TRUE(BitwiseEqual(two, pair))
+              << kt.name << " n=" << n << " len=" << len
+              << " inverse=" << inverse;
+        }
+      }
     }
   }
 }
