@@ -32,8 +32,8 @@
 #    like the library now that nothing is contracted into an FMA.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
 #    fft_test, rfft_test, simd_kernels_test, pruning_test,
-#    sharded_store_test, shape_extraction_test, and
-#    minibatch_kshape_test run under TSan to catch data races in the pool,
+#    sharded_store_test, shape_extraction_test, minibatch_kshape_test, and
+#    kshape_test run under TSan to catch data races in the pool,
 #    the FFT/RFFT plan caches (incl. BatchSpectra parallel fill) and their
 #    per-thread transform scratch, the
 #    spectrum-cached SBD pipeline, the kernel dispatch cache (atomic table
@@ -43,11 +43,14 @@
 #    sharded assignment fan-out (per-shard engines writing disjoint label
 #    ranges in parallel), the matrix-free extraction matvec (parallel
 #    chunk fan-out writing disjoint partial blocks — RowPoolMatVec's
-#    determinism contract), and the k-Shape driver's alignment-lag pre-pass
-#    (each block's member shifts from the cached NCC peaks, written
-#    disjointly on the pool before the sequential accumulator feed — the
-#    replay-parity test in shape_extraction_test runs it at 1/2/8
-#    threads); fitted_model_test also runs under TSan because
+#    determinism contract, including its inline run inside an outer pool
+#    task), and the k-Shape driver's refinement: the fused member pass (each
+#    member's aligned row built in its own accumulator slot on the pool,
+#    committed sequentially) and the side-by-side per-cluster eigen solves
+#    (cold starts pre-drawn on the coordinating thread) — the replay-parity
+#    test in shape_extraction_test runs both at 1/2/8 threads, and
+#    kshape_test runs full fits through them at KSHAPE_THREADS=4;
+#    fitted_model_test also runs under TSan because
 #    Predict drives the Assigner's parallel assignment fan-out over a frozen
 #    model at multiple thread counts, and because it sums the engine's
 #    per-thread lag-counter cells after parallel scans at 1, 2 and 8
@@ -154,9 +157,10 @@ cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${TSAN_DIR}" -j "${JOBS}" \
       --target parallel_test thread_pool_test sbd_cache_test fft_test \
                rfft_test simd_kernels_test pruning_test sharded_store_test \
-               shape_extraction_test minibatch_kshape_test fitted_model_test
+               shape_extraction_test minibatch_kshape_test fitted_model_test \
+               kshape_test
 
-echo "==> race check: parallel + thread_pool + sbd_cache + fft + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model under TSan"
+echo "==> race check: parallel + thread_pool + sbd_cache + fft + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model + kshape under TSan"
 # Run the parallel paths at a thread count high enough to force real
 # interleaving even on small CI machines.
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
@@ -181,6 +185,8 @@ KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/minibatch_kshape_test"
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/fitted_model_test"
+KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    "${TSAN_DIR}/tests/kshape_test"
 
 echo "==> ASan+UBSan build (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

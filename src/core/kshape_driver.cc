@@ -1,6 +1,7 @@
 #include "core/kshape_driver.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -151,6 +152,11 @@ cluster::ClusteringResult RunKShapeDriver(
   const std::size_t n = source->size();
   const std::size_t m = source->length();
   KSHAPE_CHECK(n >= 1 && m >= 1);
+  // ++ seeding and the mini-batch sample draw row indices through
+  // Rng::UniformInt, whose range is an int.
+  KSHAPE_CHECK_MSG(n <= static_cast<std::size_t>(
+                            std::numeric_limits<int>::max()),
+                   "corpus exceeds INT_MAX series");
   KSHAPE_CHECK(k >= 1 && static_cast<std::size_t>(k) <= n);
   const bool engines = distance == nullptr;
   const EngineConfig config = EngineConfigFor(options);
@@ -213,21 +219,29 @@ cluster::ClusteringResult RunKShapeDriver(
     assigner.SnapshotCentroids(result.centroids);
 
     // Refinement (Algorithm 3, lines 5-10): one ShapeAccumulator per
-    // cluster, aligned toward the previous centroid and fed in global index
-    // order, then Finish in cluster order so any cold-start rng draws replay
-    // identically. With block engines a member's alignment shift is the
-    // engine's cached NCC peak against its cluster's query (one inverse, no
-    // forwards; equal to the direct Sbd() shift of Add(member) except at
-    // near-tie lags). BeginIteration minted those queries from exactly these
-    // references, since repair and sampled passes leave result.centroids
-    // alone; the first iteration has none, and its all-zero references align
-    // nothing. The shifts are pure per-row values computed on the pool with
-    // disjoint writes, then fed sequentially. The accumulators take the
-    // caller's shape options verbatim; no pool cap is derived from the block
-    // geometry, since a geometry-dependent spill would make results depend
-    // on the block cut. A degenerate extraction (all members zero-norm)
-    // keeps the zero centroid as its documented representative and is
-    // surfaced via the result flag.
+    // cluster, aligned toward the previous centroid. Each block's members
+    // take one fused pass: counted per cluster, given a slot in global index
+    // order, and staged (the pool grows once per block); then a single
+    // ParallelFor builds every member's aligned z-normalized row straight
+    // into its slot, and Commit folds the slots in slot order — the bits of
+    // feeding Add(member, shift) in global index order. With block engines a
+    // member's alignment shift is the engine's cached NCC peak against its
+    // cluster's query (one inverse, no forwards; equal to the direct Sbd()
+    // shift of Add(member) except at near-tie lags). BeginIteration minted
+    // those queries from exactly these references, since repair and sampled
+    // passes leave result.centroids alone. The first iteration has none and
+    // its all-zero references align nothing; without engines the shift is
+    // the direct Sbd() one. The accumulators take the caller's shape options
+    // verbatim; no pool cap is derived from the block geometry, since a
+    // geometry-dependent spill would make results depend on the block cut.
+    //
+    // The solves then run side by side: the coordinating thread draws every
+    // cold start in cluster order (the draws Finish(rng) would take, cluster
+    // by cluster), and the k eigenproblems run one per pool task, each
+    // matrix-free matvec fanning out inline on its fixed chunks (a lone
+    // cluster keeps the pool-wide fan-out). A degenerate extraction (all
+    // members zero-norm) keeps the zero centroid as its documented
+    // representative and is surfaced via the result flag.
     common::Stopwatch phase_clock;
     {
       std::vector<ShapeAccumulator> accumulators;
@@ -235,32 +249,33 @@ cluster::ClusteringResult RunKShapeDriver(
       for (int j = 0; j < k; ++j) {
         accumulators.emplace_back(result.centroids[j], options.shape_options);
       }
-      const bool cached_lags = engines && !assigner.queries().empty();
-      std::vector<int> lag;
+      const bool cached_shifts = engines && !assigner.queries().empty();
+      std::vector<std::size_t> slot;
+      std::vector<std::size_t> members(k);
       // Feeds `count` rows of `block`, the t-th at block-local row(t).
       const auto feed = [&](const SeriesBlock& block, std::size_t count,
                             const auto& row) {
-        if (cached_lags) {
-          lag.resize(count);
-          common::ParallelFor(0, count, kScanGrain,
-                              [&](std::size_t begin, std::size_t end) {
-            for (std::size_t t = begin; t < end; ++t) {
-              const std::size_t r = row(t);
-              const int label = result.assignments[block.base + r];
-              lag[t] = block.engine->MaxNcc(assigner.queries()[label], r).shift;
-            }
-          });
-        }
+        slot.resize(count);
+        std::fill(members.begin(), members.end(), 0);
         for (std::size_t t = 0; t < count; ++t) {
-          const std::size_t r = row(t);
-          ShapeAccumulator& accumulator =
-              accumulators[result.assignments[block.base + r]];
-          if (cached_lags) {
-            accumulator.Add(block.batch[r], lag[t]);
-          } else {
-            accumulator.Add(block.batch[r]);
-          }
+          slot[t] = members[result.assignments[block.base + row(t)]]++;
         }
+        for (int j = 0; j < k; ++j) accumulators[j].Stage(members[j]);
+        common::ParallelFor(0, count, kScanGrain,
+                            [&](std::size_t begin, std::size_t end) {
+          for (std::size_t t = begin; t < end; ++t) {
+            const std::size_t r = row(t);
+            const int label = result.assignments[block.base + r];
+            if (cached_shifts) {
+              accumulators[label].Fill(
+                  slot[t], block.batch[r],
+                  block.engine->MaxNcc(assigner.queries()[label], r).shift);
+            } else {
+              accumulators[label].Fill(slot[t], block.batch[r]);
+            }
+          }
+        });
+        for (ShapeAccumulator& accumulator : accumulators) accumulator.Commit();
       };
       if (full_pass) {
         for (std::size_t b = 0; b < source->num_blocks(); ++b) {
@@ -276,16 +291,32 @@ cluster::ClusteringResult RunKShapeDriver(
           });
         });
       }
+      // No sampled member is not evidence the cluster is empty: such a
+      // cluster keeps its previous centroid instead of being
+      // degenerate-zeroed, and solves nothing (so draws nothing).
+      std::vector<char> solve(k);
+      std::vector<std::vector<double>> cold_starts(k);
+      for (int j = 0; j < k; ++j) {
+        solve[j] = full_pass || accumulators[j].members_added() > 0;
+        if (solve[j]) {
+          cold_starts[j] =
+              accumulators[j].DrawColdStart(rng, options.shape_options);
+        }
+      }
+      std::vector<ExtractedShape> extracted(k);
+      common::ParallelFor(0, static_cast<std::size_t>(k), 1,
+                          [&](std::size_t begin, std::size_t end) {
+        for (std::size_t j = begin; j < end; ++j) {
+          if (!solve[j]) continue;
+          extracted[j] =
+              accumulators[j].Finish(cold_starts[j], options.shape_options);
+        }
+      });
       result.degenerate_centroids = 0;
       for (int j = 0; j < k; ++j) {
-        const bool had_members = accumulators[j].members_added() > 0;
-        // No sampled member is not evidence the cluster is empty: keep the
-        // previous centroid instead of degenerate-zeroing it.
-        if (!full_pass && !had_members) continue;
-        ExtractedShape extracted =
-            accumulators[j].Finish(rng, options.shape_options);
-        result.centroids[j] = std::move(extracted.centroid);
-        if (extracted.degenerate && had_members) {
+        if (!solve[j]) continue;
+        result.centroids[j] = std::move(extracted[j].centroid);
+        if (extracted[j].degenerate && accumulators[j].members_added() > 0) {
           ++result.degenerate_centroids;
         }
       }

@@ -6,11 +6,14 @@
 // initialization (random assignment or ++ D² seeding), the per-iteration
 // Assigner protocol (SnapshotCentroids → refinement → BeginIteration →
 // AssignBlock per block → RepairEmptyClusters → FinishIteration), shape
-// refinement through one ShapeAccumulator per cluster fed in global index
-// order, and the mini-batch schedule.
+// refinement through one ShapeAccumulator per cluster (each block's members
+// aligned and normalized in one parallel pass, committed in global index
+// order; the clusters' eigenproblems solved side by side), and the
+// mini-batch schedule.
 //
-// Every order-sensitive reduction (the ++ D² totals, accumulator feeding,
-// telemetry, repair) runs in global index order, and every engine of a run
+// Every order-sensitive reduction (the ++ D² totals, accumulator commits,
+// cold-start draws, telemetry, repair) runs in a fixed order on the
+// coordinating thread, and every engine of a run
 // shares one configuration (see EngineConfigFor), so the result does not
 // depend on how the corpus is cut into blocks: a store of any shard geometry
 // reproduces the single-block run bit for bit.

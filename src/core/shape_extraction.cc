@@ -56,8 +56,7 @@ ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
       align_(linalg::Norm(reference) > 0.0),
       pool_mode_(options.use_matrix_free && options.use_power_iteration),
       max_pool_rows_(options.matrix_free_max_members),
-      mean_(reference.size(), 0.0),
-      row_(reference.size(), 0.0) {
+      mean_(reference.size(), 0.0) {
   KSHAPE_CHECK_MSG(!reference_.empty(), "empty shape-extraction reference");
   // The whole point of pool mode is that the m×m Gram is never allocated;
   // s_ stays 0x0 until a max-members spill (if any).
@@ -71,52 +70,101 @@ void ShapeAccumulator::Add(tseries::SeriesView member) {
 }
 
 void ShapeAccumulator::Add(tseries::SeriesView member, int shift) {
+  Stage(1);
+  Fill(0, member, shift);
+  Commit();
+}
+
+void ShapeAccumulator::Stage(std::size_t count) {
+  KSHAPE_CHECK_MSG(slots_.empty(), "a stage is already open");
   const std::size_t m = reference_.size();
+  rows_.resize(((pool_mode_ ? pool_rows_ : 0) + count) * m);
+  slots_.assign(count, kUnfilled);
+}
+
+void ShapeAccumulator::Fill(std::size_t slot, tseries::SeriesView member) {
+  Fill(slot, member, align_ ? Sbd(reference_, member).shift : 0);
+}
+
+void ShapeAccumulator::Fill(std::size_t slot, tseries::SeriesView member,
+                            int shift) {
+  const std::size_t m = reference_.size();
+  KSHAPE_CHECK_MSG(slot < slots_.size(), "slot outside the open stage");
   KSHAPE_CHECK_MSG(member.size() == m, "member length mismatch");
   KSHAPE_CHECK_MSG(shift > -static_cast<int>(m) && shift < static_cast<int>(m),
                    "alignment shift out of range");
-  ++added_;
   // The member shifted toward the reference with zero fill (Equation 5),
-  // built in the reused row_ buffer: the same values Sbd().aligned_y holds
+  // built in place in its slot row: the same values Sbd().aligned_y holds
   // for that shift. A zero-norm reference aligns nothing.
+  const tseries::MutableSeriesView row(
+      rows_.data() + ((pool_mode_ ? pool_rows_ : 0) + slot) * m, m);
   const int lag = align_ ? shift : 0;
   const std::size_t gap = static_cast<std::size_t>(std::abs(lag));
   if (lag < 0) {
-    std::copy(member.begin() + gap, member.end(), row_.begin());
-    std::fill(row_.end() - gap, row_.end(), 0.0);
+    std::copy(member.begin() + gap, member.end(), row.begin());
+    std::fill(row.end() - gap, row.end(), 0.0);
   } else {
-    std::fill(row_.begin(), row_.begin() + gap, 0.0);
-    std::copy(member.begin(), member.end() - gap, row_.begin() + gap);
+    std::fill(row.begin(), row.begin() + gap, 0.0);
+    std::copy(member.begin(), member.end() - gap, row.begin() + gap);
   }
+  // Members that z-normalize to the zero series (constant after alignment)
+  // are flagged here and skipped by Commit, so a fully degenerate member set
+  // can be detected instead of feeding the zero matrix to the eigensolver,
+  // which would return an arbitrary start vector.
+  tseries::ZNormalizeInPlace(row);
+  slots_[slot] = linalg::Norm(row) == 0.0 ? kZeroRow : kRow;
+}
+
+void ShapeAccumulator::Commit() {
+  const std::size_t m = reference_.size();
   // Accumulate S = sum_i y_i y_i^T over the aligned, z-normalized members —
   // as an explicit Gram in Gram mode, as pooled rows in matrix-free mode.
-  // Members that z-normalize to the zero series (constant after alignment)
-  // contribute nothing to S or the mean; they are skipped so a fully
-  // degenerate member set can be detected instead of feeding the zero matrix
-  // to the eigensolver, which would return an arbitrary start vector.
-  tseries::ZNormalizeInPlace(row_);
-  if (linalg::Norm(row_) == 0.0) return;
-  if (pool_mode_) {
-    pool_.Append(row_);
-    if (max_pool_rows_ > 0 && pool_.size() > max_pool_rows_) {
-      SpillPoolToGram();
+  // Slot s was built at row base + s; pooled rows compact down over the
+  // zero-norm slots, so the pool ends up holding exactly the contributing
+  // rows in slot order.
+  const std::size_t base = pool_mode_ ? pool_rows_ : 0;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    KSHAPE_CHECK_MSG(slots_[s] != kUnfilled, "committed an unfilled slot");
+    ++added_;
+    if (slots_[s] == kZeroRow) continue;
+    const double* row = rows_.data() + (base + s) * m;
+    if (pool_mode_) {
+      double* pooled = rows_.data() + pool_rows_ * m;
+      if (pooled != row) std::copy(row, row + m, pooled);
+      row = pooled;
+      ++pool_rows_;
+      if (max_pool_rows_ > 0 && pool_rows_ > max_pool_rows_) {
+        SpillPoolToGram();
+      }
+    } else {
+      // Upper triangle only (S is symmetric); mirrored once in Finish at
+      // half the accumulation cost, bit-identical to the full outer
+      // products.
+      s_.AddSymmetricOuterProduct(tseries::SeriesView(row, m));
     }
-  } else {
-    // Upper triangle only (S is symmetric); mirrored once in Finish at half
-    // the accumulation cost, bit-identical to the full outer products.
-    s_.AddSymmetricOuterProduct(row_);
+    linalg::Axpy(1.0, tseries::SeriesView(row, m), &mean_);
+    ++used_;
   }
-  linalg::Axpy(1.0, row_, &mean_);
-  ++used_;
+  slots_.clear();
+  if (pool_mode_) {
+    rows_.resize(pool_rows_ * m);
+  } else if (rows_.size() > m) {
+    // Gram mode keeps one row of capacity for Add(); a multi-row stage or a
+    // spilled pool gives its memory back.
+    std::vector<double>().swap(rows_);
+  } else {
+    rows_.clear();
+  }
 }
 
 void ShapeAccumulator::SpillPoolToGram() {
   const std::size_t m = reference_.size();
   s_ = linalg::Matrix(m, m);
-  for (std::size_t r = 0; r < pool_.size(); ++r) {
-    s_.AddSymmetricOuterProduct(pool_.view(r));
+  for (std::size_t r = 0; r < pool_rows_; ++r) {
+    s_.AddSymmetricOuterProduct(
+        tseries::SeriesView(rows_.data() + r * m, m));
   }
-  pool_ = tseries::SeriesStore();
+  pool_rows_ = 0;
   pool_mode_ = false;
 }
 
@@ -131,16 +179,49 @@ linalg::Matrix ShapeAccumulator::MirroredGram() const {
   // the result is bit-identical to Gram mode on this member sequence.
   const std::size_t m = reference_.size();
   linalg::Matrix s(m, m);
-  for (std::size_t r = 0; r < pool_.size(); ++r) {
-    s.AddSymmetricOuterProduct(pool_.view(r));
+  for (std::size_t r = 0; r < pool_rows_; ++r) {
+    s.AddSymmetricOuterProduct(tseries::SeriesView(rows_.data() + r * m, m));
   }
   s.MirrorUpperToLower();
   return s;
 }
 
-ExtractedShape ShapeAccumulator::Finish(
+std::vector<double> ShapeAccumulator::DrawColdStart(
     common::Rng* rng, const ShapeExtractionOptions& options) const {
   KSHAPE_CHECK(rng != nullptr);
+  std::vector<double> start;
+  if (used_ == 0 || !options.use_power_iteration || WarmStarts(options)) {
+    return start;
+  }
+  // The draws DominantEigenvectorOp takes on a cold start, in its order; it
+  // normalizes the vector it is handed exactly as it would its own draw.
+  start.resize(reference_.size());
+  for (double& x : start) x = rng->Gaussian();
+  return start;
+}
+
+const std::vector<double>& ShapeAccumulator::StartVector(
+    const std::vector<double>& cold_start,
+    const ShapeExtractionOptions& options) const {
+  // Warm start: the alignment reference (the previous centroid) is close to
+  // the new dominant eigenvector once the clustering begins to settle, so
+  // seeding with it saves most of the power-iteration steps. `align_`
+  // already certifies a nonzero reference.
+  if (WarmStarts(options)) return reference_;
+  KSHAPE_CHECK_MSG(cold_start.size() == reference_.size(),
+                   "cold-start vector missing or of the wrong length");
+  return cold_start;
+}
+
+ExtractedShape ShapeAccumulator::Finish(
+    common::Rng* rng, const ShapeExtractionOptions& options) const {
+  return Finish(DrawColdStart(rng, options), options);
+}
+
+ExtractedShape ShapeAccumulator::Finish(
+    const std::vector<double>& cold_start,
+    const ShapeExtractionOptions& options) const {
+  KSHAPE_CHECK_MSG(slots_.empty(), "Finish with an open stage");
   const std::size_t m = reference_.size();
   if (used_ == 0) {
     ExtractedShape result;
@@ -153,30 +234,23 @@ ExtractedShape ShapeAccumulator::Finish(
   // Gram mode; the pooled rows ARE the Gram's member sequence).
   if (pool_mode_ && options.use_matrix_free && options.use_power_iteration &&
       used_ >= options.matrix_free_min_members) {
-    return FinishMatrixFree(rng, options);
+    return FinishMatrixFree(cold_start, options);
   }
-  return FinishDense(rng, options);
+  return FinishDense(cold_start, options);
 }
 
 ExtractedShape ShapeAccumulator::FinishDense(
-    common::Rng* rng, const ShapeExtractionOptions& options) const {
+    const std::vector<double>& cold_start,
+    const ShapeExtractionOptions& options) const {
   const std::size_t m = reference_.size();
   linalg::Matrix centered = MirroredGram();
   CenterGramInPlace(&centered);
 
   std::vector<double> centroid;
   if (options.use_power_iteration) {
-    // Warm start: the alignment reference (the previous centroid) is close
-    // to the new dominant eigenvector once the clustering begins to settle,
-    // so seeding with it saves most of the power-iteration steps. `align_`
-    // already certifies a nonzero reference.
-    std::vector<double> seed;
-    if (options.warm_start && align_) {
-      seed.assign(reference_.begin(), reference_.end());
-    }
     centroid = linalg::DominantEigenvector(
-        centered, rng, /*max_iters=*/200, /*tol=*/1e-10,
-        /*eigenvalue=*/nullptr, seed.empty() ? nullptr : &seed);
+        centered, /*rng=*/nullptr, /*max_iters=*/200, /*tol=*/1e-10,
+        /*eigenvalue=*/nullptr, &StartVector(cold_start, options));
   } else {
     const linalg::EigenDecomposition decomp = linalg::SymmetricEigen(centered);
     centroid = decomp.eigenvectors.ColVector(m - 1);  // Largest eigenvalue.
@@ -194,7 +268,8 @@ ExtractedShape ShapeAccumulator::FinishDense(
 }
 
 ExtractedShape ShapeAccumulator::FinishMatrixFree(
-    common::Rng* rng, const ShapeExtractionOptions& options) const {
+    const std::vector<double>& cold_start,
+    const ShapeExtractionOptions& options) const {
   const std::size_t m = reference_.size();
   // M·v = Q(S(Qv)) with Qv = v − mean(v)·1 (rank-one centering) and
   // S(u) = Σ yᵢ(yᵢ·u) applied row-wise over the pooled members: O(n_c·m)
@@ -202,7 +277,7 @@ ExtractedShape ShapeAccumulator::FinishMatrixFree(
   // non-degenerate aligned rows, so S here is the same sum the Gram path
   // accumulates (up to summation order — the epsilon-level difference the
   // matrix-free equivalence tests allow for).
-  linalg::RowPoolMatVec pool_op(pool_.data(), pool_.size(), m);
+  linalg::RowPoolMatVec pool_op(rows_.data(), pool_rows_, m);
   std::vector<double> centered(m);
   const linalg::MatVecFn matvec = [&](const std::vector<double>& v,
                                       std::vector<double>* out) {
@@ -221,13 +296,9 @@ ExtractedShape ShapeAccumulator::FinishMatrixFree(
     return s;
   };
 
-  std::vector<double> seed;
-  if (options.warm_start && align_) {
-    seed.assign(reference_.begin(), reference_.end());
-  }
   std::vector<double> centroid = linalg::DominantEigenvectorOp(
-      m, matvec, materialize, rng, /*max_iters=*/200, /*tol=*/1e-10,
-      /*eigenvalue=*/nullptr, seed.empty() ? nullptr : &seed);
+      m, matvec, materialize, /*rng=*/nullptr, /*max_iters=*/200,
+      /*tol=*/1e-10, /*eigenvalue=*/nullptr, &StartVector(cold_start, options));
 
   if (linalg::Dot(centroid, mean_) < 0.0) {
     linalg::Scale(&centroid, -1.0);

@@ -131,16 +131,32 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
 /// Alignment: each member is shifted toward the reference by its optimal
 /// SBD shift before it is pooled or folded. Add(member) finds that shift
 /// with a direct Sbd(); Add(member, shift) takes it from the caller. The
-/// k-Shape driver uses the latter with the block engine's cached NCC peak
+/// k-Shape driver supplies the block engine's cached NCC peak
 /// (SbdEngine::MaxNcc against the reference's query), which agrees with
 /// Sbd() except at near-tie lags, where the two arithmetics may pick
 /// different maxima of the same NCC sequence.
 ///
+/// Members enter in two steps, one row builder: Stage(count) opens `count`
+/// slots (in pool mode, rows appended to the pool), Fill() builds each
+/// slot's aligned z-normalized row and zero-norm flag, and Commit() folds
+/// the slots in slot order — compacting zero-norm rows out of the pool,
+/// accumulating the mean, and folding rows into the Gram in Gram mode or
+/// across the max-members spill. Add() is the one-slot case, so a staged
+/// member sequence solves to the bits of Add() of the same members in slot
+/// order. The rows of one open stage live next to the pool until Commit, so
+/// a capped pool transiently holds cap + count rows.
+///
 /// Usage: construct with the alignment reference (the previous centroid; the
 /// reference is copied, so the view may die immediately) and the same options
-/// later passed to Finish(), Add() each member in a deterministic order, then
-/// Finish(). Not thread-safe; one accumulator per cluster, fed from the
-/// coordinating thread (Finish's matrix-free path fans out internally).
+/// later passed to Finish(), feed members in a deterministic order, then
+/// Finish().
+///
+/// Thread safety: Stage, Commit and Add run on one thread. Between Stage and
+/// Commit, Fill calls on distinct slots may run concurrently (each writes
+/// only its own row and flag). Finish is const and reads nothing mutable:
+/// Finish(cold_start, ...) may run concurrently on any accumulators, and a
+/// matrix-free solve issued from inside a pool task runs its RowPoolMatVec
+/// fan-out inline, on the same fixed chunks, to the same bits.
 class ShapeAccumulator {
  public:
   /// `reference` must be non-empty; its length fixes the member length. A
@@ -161,31 +177,66 @@ class ShapeAccumulator {
   /// shift of `member` toward the reference, as Sbd()/MaxNcc report it —
   /// so a caller holding cached spectra (SbdEngine::MaxNcc against the
   /// reference's query) pays one inverse transform per member instead of a
-  /// direct Sbd(). The member is shifted with zero fill and z-normalized in
-  /// a reused scratch row, with no per-member allocation; a zero-norm
-  /// reference ignores the shift. Requires |shift| < m.
+  /// direct Sbd(). Stage(1), Fill(0, member, shift), Commit(). Requires
+  /// |shift| < m and no open stage.
   void Add(tseries::SeriesView member, int shift);
 
-  /// Number of Add() calls so far (including degenerate members).
+  /// Opens `count` member slots (a count of 0 is allowed). In pool mode the
+  /// pool grows once, by `count` rows, and each slot is built straight into
+  /// its pooled row. Requires no open stage.
+  void Stage(std::size_t count);
+
+  /// Builds slot `slot` of the open stage: `member` shifted toward the
+  /// reference by `shift` with zero fill (Equation 5; a zero-norm reference
+  /// ignores the shift), z-normalized, and flagged when the result is the
+  /// zero series. Requires |shift| < m and slot < the staged count. Safe to
+  /// call concurrently for distinct slots.
+  void Fill(std::size_t slot, tseries::SeriesView member, int shift);
+
+  /// Fill() with the direct Sbd(reference, member) shift, as Add(member).
+  void Fill(std::size_t slot, tseries::SeriesView member);
+
+  /// Folds the open stage in slot order and closes it. Every slot must have
+  /// been filled. Bit-identical to Add() of the staged members in slot order.
+  void Commit();
+
+  /// Number of members committed so far (including degenerate members).
   std::size_t members_added() const { return added_; }
 
   /// True while members are pooled for the matrix-free eigenproblem (no Gram
   /// allocated); false in Gram mode, including after a max-members spill.
   bool matrix_free_active() const { return pool_mode_; }
 
-  /// Solves the eigenproblem over everything added so far. Leaves the
+  /// Solves the eigenproblem over everything committed so far. Leaves the
   /// accumulator intact (Finish is const: mirroring/centering work on
   /// copies, the matrix-free path only reads the pool), matching
   /// ExtractShapeFlagged on the same member sequence bit for bit — including
   /// the degenerate zero-centroid result when nothing contributed, and the
-  /// rng draw only on cold starts.
+  /// rng draw only on cold starts. Equal to
+  /// Finish(DrawColdStart(rng, options), options). Requires no open stage.
   ExtractedShape Finish(common::Rng* rng,
                         const ShapeExtractionOptions& options = {}) const;
 
+  /// The cold start of Finish(rng, options): the m Gaussian draws a solve
+  /// that starts cold takes from `rng` — some member contributed, power
+  /// iteration is on, and there is no warm reference (warm starts off or a
+  /// zero-norm reference). Empty, with `rng` untouched, for any other solve.
+  std::vector<double> DrawColdStart(
+      common::Rng* rng, const ShapeExtractionOptions& options = {}) const;
+
+  /// Finish() from a start pre-drawn by DrawColdStart with the same options.
+  /// Reads no rng, so the coordinating thread can draw every cluster's
+  /// start in cluster order and then solve the clusters side by side.
+  ExtractedShape Finish(const std::vector<double>& cold_start,
+                        const ShapeExtractionOptions& options = {}) const;
+
  private:
-  // Folds the pooled rows into the Gram and releases the pool (the
+  // Slot states of the open stage.
+  enum SlotState : unsigned char { kUnfilled, kRow, kZeroRow };
+
+  // Folds the pooled rows into the Gram and leaves pool mode (the
   // matrix_free_max_members bound). Bit-identical to having accumulated the
-  // Gram from the first Add.
+  // Gram from the first Add. The row buffer is released by Commit.
   void SpillPoolToGram();
 
   // The symmetric Gram S = Σ yᵢyᵢᵀ, mirrored to both triangles — from s_ in
@@ -193,19 +244,33 @@ class ShapeAccumulator {
   // the matrix-free crossover/fallback.
   linalg::Matrix MirroredGram() const;
 
-  ExtractedShape FinishDense(common::Rng* rng,
+  // True when the solve starts from the reference (the previous centroid).
+  bool WarmStarts(const ShapeExtractionOptions& options) const {
+    return options.warm_start && align_;
+  }
+
+  // The power-iteration start: the reference when warm, else `cold_start`.
+  const std::vector<double>& StartVector(
+      const std::vector<double>& cold_start,
+      const ShapeExtractionOptions& options) const;
+
+  ExtractedShape FinishDense(const std::vector<double>& cold_start,
                              const ShapeExtractionOptions& options) const;
-  ExtractedShape FinishMatrixFree(common::Rng* rng,
+  ExtractedShape FinishMatrixFree(const std::vector<double>& cold_start,
                                   const ShapeExtractionOptions& options) const;
 
   tseries::Series reference_;
   bool align_ = false;
   bool pool_mode_ = false;
   std::size_t max_pool_rows_ = 0;
-  linalg::Matrix s_;           // Gram upper triangle; 0x0 in pool mode.
-  tseries::SeriesStore pool_;  // Aligned z-normalized members in pool mode.
+  linalg::Matrix s_;  // Gram upper triangle; 0x0 in pool mode.
+  // Row storage, m doubles per row: in pool mode the pool_rows_ aligned
+  // z-normalized members followed by the open stage; in Gram mode the open
+  // stage alone.
+  std::vector<double> rows_;
+  std::size_t pool_rows_ = 0;
+  std::vector<SlotState> slots_;  // The open stage; empty when closed.
   std::vector<double> mean_;
-  tseries::Series row_;  // Scratch: the member being aligned and normalized.
   std::size_t used_ = 0;
   std::size_t added_ = 0;
 };

@@ -369,7 +369,6 @@ std::vector<double> DominantEigenvectorOp(
     common::Rng* rng, int max_iters, double tol, double* eigenvalue,
     const std::vector<double>* initial) {
   KSHAPE_CHECK(n >= 1);
-  KSHAPE_CHECK(rng != nullptr);
 
   std::vector<double> v;
   bool warm = false;
@@ -380,6 +379,7 @@ std::vector<double> DominantEigenvectorOp(
   if (!warm) {
     // Cold start: random direction (almost surely non-orthogonal to the
     // dominant eigenvector).
+    KSHAPE_CHECK_MSG(rng != nullptr, "cold start without an rng");
     v.resize(n);
     for (auto& x : v) x = rng->Gaussian();
     NormalizeInPlace(&v);

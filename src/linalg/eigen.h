@@ -46,7 +46,8 @@ EigenDecomposition SymmetricEigen(const Matrix& a);
 /// eigenvalues are nearly equal).
 ///
 /// `initial`, when non-null with size n and a nonzero norm, seeds the
-/// iteration instead of a random draw (and leaves the RNG stream untouched):
+/// iteration instead of a random draw (and leaves the RNG stream untouched;
+/// `rng` may then be null):
 /// a warm start near the dominant eigenvector — e.g. the previous k-Shape
 /// centroid, which moves little between refinement iterations — cuts the
 /// matrix-vector products spent per call. A null/mismatched/zero `initial`

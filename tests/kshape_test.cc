@@ -1,6 +1,8 @@
 #include "core/kshape.h"
 
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "cluster/averaging.h"
 #include "cluster/kmeans.h"
 #include "common/random.h"
+#include "core/kshape_driver.h"
 #include "data/generators.h"
 #include "distance/dtw.h"
 #include "distance/euclidean.h"
@@ -252,6 +255,33 @@ TEST(KShapeTest, PlusPlusSeedingIsDeterministicGivenSeed) {
   common::Rng rng_b(5);
   EXPECT_EQ(kshape_pp.Cluster(series, 2, &rng_a).assignments,
             kshape_pp.Cluster(series, 2, &rng_b).assignments);
+}
+
+// A corpus of INT_MAX + 1 series that holds no samples: the driver must
+// refuse it at entry, before any row index is drawn through the int range
+// of Rng::UniformInt (or any per-series state is allocated).
+class OversizedSource : public BlockSource {
+ public:
+  std::size_t size() const override {
+    return static_cast<std::size_t>(std::numeric_limits<int>::max()) + 1;
+  }
+  std::size_t length() const override { return 16; }
+  std::size_t num_blocks() const override { return 1; }
+  SeriesBlock Block(std::size_t) override { return SeriesBlock{}; }
+  std::size_t BlockOfRow(std::size_t) const override { return 0; }
+};
+
+TEST(KShapeDriverDeathTest, CorpusBeyondIntRangeAborts) {
+  OversizedSource source;
+  common::Rng rng(1);
+  for (const KShapeInit init :
+       {KShapeInit::kRandomAssignment, KShapeInit::kPlusPlusSeeding}) {
+    KShapeOptions options;
+    options.init = init;
+    EXPECT_DEATH(RunKShapeDriver(&source, 2, &rng, options,
+                                 /*minibatch=*/false, /*distance=*/nullptr),
+                 "corpus exceeds INT_MAX series");
+  }
 }
 
 }  // namespace

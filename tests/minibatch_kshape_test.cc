@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,10 +34,13 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "core/kshape.h"
+#include "core/kshape_driver.h"
 #include "core/sbd_engine.h"
+#include "core/shape_extraction.h"
 #include "data/generators.h"
 #include "distance/euclidean.h"
 #include "eval/metrics.h"
+#include "model/assigner.h"
 #include "fft/rfft.h"
 #include "simd/dispatch.h"
 #include "store/sharded_store.h"
@@ -434,6 +438,137 @@ TEST(MiniBatchKShapeTest, MinibatchDeterministicAcrossShardGeometry) {
                    "mb_g" + std::to_string(shard_rows));
     ExpectBitIdentical(result, reference,
                        "minibatch shard_rows " + std::to_string(shard_rows));
+  }
+}
+
+// Floyd's sample of b distinct indices from [0, n), sorted: the draw the
+// driver takes on the coordinating thread before a sampled iteration.
+std::vector<std::size_t> ReplaySample(std::size_t n, std::size_t b,
+                                      common::Rng* rng) {
+  std::set<std::size_t> chosen;
+  for (std::size_t t = n - b; t < n; ++t) {
+    const std::size_t r =
+        static_cast<std::size_t>(rng->UniformInt(static_cast<int>(t + 1)));
+    chosen.insert(chosen.count(r) ? t : r);
+  }
+  return std::vector<std::size_t>(chosen.begin(), chosen.end());
+}
+
+struct MinibatchReplay {
+  ClusteringResult result;
+  // Sampled iterations where a cluster got no sampled member (and so must
+  // keep its centroid and draw no cold start).
+  int memberless_sampled_clusters = 0;
+};
+
+// The mini-batch schedule rebuilt from public calls over one engine, with
+// the sequential protocol the fused member pass replaced: each member added
+// in global index order with its cached NCC shift, then Finish(rng) in
+// cluster order for every cluster that has members (all of them on a full
+// pass).
+MinibatchReplay ReplayMinibatch(const std::vector<Series>& series, int k,
+                                const core::KShapeOptions& options,
+                                uint64_t seed) {
+  const std::size_t n = series.size();
+  const std::size_t m = series.front().size();
+  const core::EngineConfig config = core::EngineConfigFor(options);
+  const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
+                               config.half_spectrum, config.bound_planes);
+  common::Rng rng(seed);
+  MinibatchReplay replay;
+  ClusteringResult& result = replay.result;
+  result.assignments = cluster::RandomAssignments(n, k, &rng);
+  result.centroids.assign(k, Series(m, 0.0));
+  model::AssignerOptions assigner_options;
+  assigner_options.k = k;
+  assigner_options.num_series = n;
+  assigner_options.m = m;
+  assigner_options.fft_len = engine.fft_length();
+  assigner_options.use_half_spectrum = config.half_spectrum;
+  assigner_options.use_pruning = config.bound_planes;
+  assigner_options.use_movement_bounds = false;
+  assigner_options.prune_margin = options.prune_margin;
+  model::Assigner assigner(assigner_options);
+
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    const std::vector<int> previous = result.assignments;
+    const bool full_pass = (iter + 1) % options.refresh_period == 0 ||
+                           iter + 1 == options.max_iterations;
+    std::vector<std::size_t> sample;
+    if (full_pass) {
+      for (std::size_t i = 0; i < n; ++i) sample.push_back(i);
+    } else {
+      sample = ReplaySample(n, options.minibatch_size, &rng);
+    }
+    assigner.SnapshotCentroids(result.centroids);
+    std::vector<core::ShapeAccumulator> accumulators;
+    for (int j = 0; j < k; ++j) {
+      accumulators.emplace_back(result.centroids[j], options.shape_options);
+    }
+    for (const std::size_t i : sample) {
+      const int label = result.assignments[i];
+      if (assigner.queries().empty()) {
+        accumulators[label].Add(series[i]);
+      } else {
+        accumulators[label].Add(
+            series[i], engine.MaxNcc(assigner.queries()[label], i).shift);
+      }
+    }
+    for (int j = 0; j < k; ++j) {
+      if (!full_pass && accumulators[j].members_added() == 0) {
+        ++replay.memberless_sampled_clusters;
+        continue;
+      }
+      result.centroids[j] =
+          accumulators[j].Finish(&rng, options.shape_options).centroid;
+    }
+    assigner.BeginIteration(result.centroids);
+    if (full_pass) {
+      assigner.AssignBlock(engine, 0, &result.assignments);
+    } else {
+      assigner.AssignSample(engine, 0, sample, 0, sample.size(),
+                            &result.assignments);
+    }
+    const int reseeds = cluster::RepairEmptyClusters(
+        k, &result.assignments, [&](int j, std::size_t i) {
+          return engine.Distance(assigner.queries()[j], i);
+        });
+    assigner.FinishIteration(reseeds);
+    result.iterations = iter + 1;
+    if (full_pass && result.assignments == previous) break;
+  }
+  return replay;
+}
+
+TEST(MiniBatchKShapeTest, SampledPassSkipsClustersWithNoSampledMember) {
+  ConfigGuard guard;
+  // Eight clusters and a four-row sample: every sampled pass leaves at
+  // least four clusters without a sampled member. Such a cluster keeps its
+  // centroid and draws no cold start, so with cold starts on (and on the
+  // first pass, where every reference is zero) a stray draw would shift the
+  // rng stream and everything after it.
+  const std::size_t n = 40, m = 48;
+  const int k = 8;
+  const std::vector<Series> series = MakeCorpus(n, m, 211);
+  for (const bool warm : {true, false}) {
+    core::KShapeOptions options = ShardedOptions(9, 2);
+    options.minibatch_size = 4;
+    options.refresh_period = 3;
+    options.max_iterations = 9;
+    options.shape_options.warm_start = warm;
+    common::SetThreadCount(1);
+    const MinibatchReplay replay = ReplayMinibatch(series, k, options, 223);
+    EXPECT_GT(replay.memberless_sampled_clusters, 0);
+    for (const int threads : {1, 2, 8}) {
+      common::SetThreadCount(threads);
+      const auto [result, store] = RunSharded(
+          options, series, k, 223, "memberless_t" + std::to_string(threads));
+      const std::string what = "warm=" + std::to_string(warm) +
+                               " threads=" + std::to_string(threads);
+      EXPECT_EQ(result.assignments, replay.result.assignments) << what;
+      EXPECT_EQ(result.centroids, replay.result.centroids) << what;
+      EXPECT_EQ(result.iterations, replay.result.iterations) << what;
+    }
   }
 }
 

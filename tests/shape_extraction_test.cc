@@ -7,6 +7,7 @@
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -765,6 +766,247 @@ TEST(ShapeAccumulatorShiftDeathTest, ShiftOfAtLeastMAborts) {
 }
 
 // ---------------------------------------------------------------------------
+// Fill-and-commit: Stage/Fill/Commit is the k-Shape driver's member pass (the
+// rows built concurrently in their slots, folded in slot order), and must
+// land on the bits of Add(member, shift) in slot order.
+// ---------------------------------------------------------------------------
+
+// Every third member replaced by a constant series, which z-normalizes to the
+// zero row at any shift.
+std::vector<Series> WithZeroNormMembers(std::vector<Series> members) {
+  for (std::size_t i = 1; i < members.size(); i += 3) {
+    members[i] = Series(members[i].size(), 2.5);
+  }
+  return members;
+}
+
+void ExpectSameBits(const ExtractedShape& a, const ExtractedShape& b,
+                    const std::string& label) {
+  EXPECT_EQ(a.degenerate, b.degenerate) << label;
+  ASSERT_EQ(a.centroid.size(), b.centroid.size()) << label;
+  for (std::size_t t = 0; t < a.centroid.size(); ++t) {
+    EXPECT_EQ(a.centroid[t], b.centroid[t]) << label << " t=" << t;
+  }
+}
+
+// Feeds `members` with `shifts` through sequential Add(member, shift) and
+// through stages of `stage_rows` slots, each filled on the pool in reverse
+// slot order, and asserts equal counts, storage mode and solved bits.
+void ExpectStagedMatchesSequential(const std::vector<Series>& members,
+                                   const std::vector<int>& shifts,
+                                   const Series& reference,
+                                   const ShapeExtractionOptions& options,
+                                   bool expect_pool, const std::string& label) {
+  ShapeAccumulator sequential(reference, options);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    sequential.Add(members[i], shifts[i]);
+  }
+  EXPECT_EQ(sequential.matrix_free_active(), expect_pool) << label;
+  common::Rng rng_sequential(131);
+  const ExtractedShape expected = sequential.Finish(&rng_sequential, options);
+
+  for (const std::size_t stage_rows : {std::size_t{1}, std::size_t{5},
+                                       members.size()}) {
+    const std::string what = label + " stage_rows=" +
+                             std::to_string(stage_rows);
+    ShapeAccumulator staged(reference, options);
+    for (std::size_t begin = 0; begin < members.size(); begin += stage_rows) {
+      const std::size_t count = std::min(stage_rows, members.size() - begin);
+      staged.Stage(count);
+      common::ParallelFor(0, count, 1, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t s = lo; s < hi; ++s) {
+          const std::size_t slot = count - 1 - s;
+          staged.Fill(slot, members[begin + slot], shifts[begin + slot]);
+        }
+      });
+      staged.Commit();
+    }
+    EXPECT_EQ(staged.members_added(), sequential.members_added()) << what;
+    EXPECT_EQ(staged.matrix_free_active(), expect_pool) << what;
+    common::Rng rng_staged(131);
+    ExpectSameBits(staged.Finish(&rng_staged, options), expected, what);
+  }
+}
+
+TEST(ShapeAccumulatorStageTest, FillAndCommitMatchesSequentialAddInEveryMode) {
+  SimdBackendGuard guard;  // Restores the thread count.
+  const std::size_t m = 64;
+  const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.15));
+  const int m_int = static_cast<int>(m);
+  const auto direct_shifts = [&](const std::vector<Series>& members) {
+    std::vector<int> shifts;
+    for (const Series& member : members) {
+      shifts.push_back(Sbd(reference, member).shift);
+    }
+    return shifts;
+  };
+
+  ShapeExtractionOptions gram;
+  gram.use_matrix_free = false;
+  const ShapeExtractionOptions pool;  // min_members = 8.
+  ShapeExtractionOptions capped;
+  capped.matrix_free_max_members = 4;
+  const std::vector<Series> many =
+      WithZeroNormMembers(ShiftedCorpus(14, m, 137));
+  const std::vector<Series> few = WithZeroNormMembers(ShiftedCorpus(7, m, 149));
+  ASSERT_LT(few.size(), pool.matrix_free_min_members);
+  for (const int threads : {1, 4}) {
+    common::SetThreadCount(threads);
+    const std::string t = " threads=" + std::to_string(threads);
+    ExpectStagedMatchesSequential(many, direct_shifts(many), reference, gram,
+                                  /*expect_pool=*/false, "gram" + t);
+    ExpectStagedMatchesSequential(many, direct_shifts(many), reference, pool,
+                                  /*expect_pool=*/true, "pool" + t);
+    ExpectStagedMatchesSequential(few, direct_shifts(few), reference, pool,
+                                  /*expect_pool=*/true, "below crossover" + t);
+    ExpectStagedMatchesSequential(many, direct_shifts(many), reference, capped,
+                                  /*expect_pool=*/false, "spill" + t);
+
+    // A zero-norm reference aligns nothing, whatever the shifts say.
+    std::vector<int> arbitrary;
+    for (std::size_t i = 0; i < many.size(); ++i) {
+      arbitrary.push_back(static_cast<int>((i * 23) % (2 * m - 1)) -
+                          (m_int - 1));
+    }
+    for (const ShapeExtractionOptions& options : {gram, pool, capped}) {
+      ExpectStagedMatchesSequential(many, arbitrary, Series(m, 0.0), options,
+                                    options.use_matrix_free &&
+                                        options.matrix_free_max_members == 0,
+                                    "zero reference" + t);
+    }
+  }
+}
+
+TEST(ShapeAccumulatorStageTest, FillWithoutShiftMatchesAddWithoutShift) {
+  const std::size_t m = 48;
+  const Series reference = tseries::ZNormalized(Sine(m, 1.0, 0.4));
+  const std::vector<Series> members =
+      WithZeroNormMembers(ShiftedCorpus(11, m, 173));
+  ShapeAccumulator added(reference);
+  ShapeAccumulator filled(reference);
+  filled.Stage(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    added.Add(members[i]);
+    filled.Fill(i, members[i]);
+  }
+  filled.Commit();
+  common::Rng rng_added(179);
+  common::Rng rng_filled(179);
+  ExpectSameBits(filled.Finish(&rng_filled), added.Finish(&rng_added),
+                 "direct shift");
+}
+
+TEST(ShapeAccumulatorStageTest, EmptyStageChangesNothing) {
+  const std::size_t m = 32;
+  const Series reference = tseries::ZNormalized(Sine(m, 1.0, 0.1));
+  ShapeAccumulator accumulator(reference);
+  accumulator.Stage(0);
+  accumulator.Commit();
+  EXPECT_EQ(accumulator.members_added(), 0u);
+  common::Rng rng(181);
+  EXPECT_TRUE(accumulator.Finish(&rng).degenerate);
+}
+
+TEST(ShapeAccumulatorStageDeathTest, MisusedStagesAbort) {
+  const std::size_t m = 16;
+  const Series reference = tseries::ZNormalized(Sine(m, 1.0, 0.0));
+  const Series member = tseries::ZNormalized(Sine(m, 1.0, 0.5));
+  EXPECT_DEATH(
+      {
+        ShapeAccumulator accumulator(reference);
+        accumulator.Stage(2);
+        accumulator.Fill(0, member, 0);
+        accumulator.Commit();
+      },
+      "committed an unfilled slot");
+  EXPECT_DEATH(
+      {
+        ShapeAccumulator accumulator(reference);
+        accumulator.Stage(1);
+        accumulator.Fill(1, member, 0);
+      },
+      "slot outside the open stage");
+  EXPECT_DEATH(
+      {
+        ShapeAccumulator accumulator(reference);
+        accumulator.Stage(1);
+        accumulator.Add(member, 0);
+      },
+      "a stage is already open");
+  EXPECT_DEATH(
+      {
+        ShapeAccumulator accumulator(reference);
+        accumulator.Add(member, 0);
+        accumulator.Stage(1);
+        common::Rng rng(1);
+        (void)accumulator.Finish(&rng);
+      },
+      "Finish with an open stage");
+}
+
+// ---------------------------------------------------------------------------
+// Pre-drawn cold starts: the driver draws every cluster's start on the
+// coordinating thread, then solves the clusters side by side.
+// ---------------------------------------------------------------------------
+
+TEST(ShapeAccumulatorColdStartTest, PreDrawnStartMatchesFinishRngBitwise) {
+  // Odd m leaves a cached Gaussian behind in the polar method, so the rng
+  // state comparison below also covers that cache.
+  const std::size_t m = 33;
+  const Series warm_reference = tseries::ZNormalized(Sine(m, 1.0, 0.3));
+  const Series zero_reference(m, 0.0);
+  const std::vector<Series> members = NoisySineCorpus(12, m, 191);
+
+  struct Case {
+    const char* label;
+    Series reference;
+    ShapeExtractionOptions options;
+    bool feed;
+    bool draws;
+  };
+  ShapeExtractionOptions cold_pool;
+  cold_pool.warm_start = false;
+  ShapeExtractionOptions cold_gram = cold_pool;
+  cold_gram.use_matrix_free = false;
+  ShapeExtractionOptions full_eigen;
+  full_eigen.use_power_iteration = false;
+  const ShapeExtractionOptions defaults;
+  const std::vector<Case> cases = {
+      {"warm starts off, pool", warm_reference, cold_pool, true, true},
+      {"warm starts off, gram", warm_reference, cold_gram, true, true},
+      {"zero reference", zero_reference, defaults, true, true},
+      {"warm reference", warm_reference, defaults, true, false},
+      {"full eigensolver", zero_reference, full_eigen, true, false},
+      {"no members", zero_reference, cold_pool, false, false},
+  };
+  for (const Case& c : cases) {
+    ShapeAccumulator accumulator(c.reference, c.options);
+    if (c.feed) {
+      for (const Series& member : members) accumulator.Add(member);
+    }
+    common::Rng rng_finish(197);
+    common::Rng rng_drawn(197);
+    const ExtractedShape a = accumulator.Finish(&rng_finish, c.options);
+    const std::vector<double> start =
+        accumulator.DrawColdStart(&rng_drawn, c.options);
+    EXPECT_EQ(start.size(), c.draws ? m : 0u) << c.label;
+    ExpectSameBits(accumulator.Finish(start, c.options), a, c.label);
+    for (int draw = 0; draw < 3; ++draw) {
+      EXPECT_EQ(rng_finish.Gaussian(), rng_drawn.Gaussian()) << c.label;
+    }
+    EXPECT_EQ(rng_finish.NextUint64(), rng_drawn.NextUint64()) << c.label;
+  }
+}
+
+TEST(ShapeAccumulatorColdStartDeathTest, ColdSolveWithoutAStartAborts) {
+  const std::size_t m = 16;
+  ShapeAccumulator accumulator(Series(m, 0.0));
+  accumulator.Add(tseries::ZNormalized(Sine(m, 1.0, 0.5)));
+  EXPECT_DEATH((void)accumulator.Finish(std::vector<double>{}),
+               "cold-start vector missing");
+}
+
+// ---------------------------------------------------------------------------
 // Driver-level parity: KShape::Cluster (engine-derived alignment shifts)
 // against Algorithm 3 rebuilt from public calls with the direct Add(member).
 // ---------------------------------------------------------------------------
@@ -875,7 +1117,8 @@ ReplayResult ReplayKShape(const std::vector<Series>& series, int k,
       ShapeAccumulator accumulator(result.centroids[j],
                                    options.shape_options);
       for (const std::size_t i : groups[j]) {
-        if (!assigner.queries().empty()) {
+        // A zero-norm member builds the zero row at any shift.
+        if (!assigner.queries().empty() && linalg::Norm(series[i]) > 0.0) {
           const int cached = engine.MaxNcc(assigner.queries()[j], i).shift;
           const int direct = Sbd(result.centroids[j], series[i]).shift;
           if (cached != direct) {
@@ -903,48 +1146,105 @@ ReplayResult ReplayKShape(const std::vector<Series>& series, int k,
   return replay;
 }
 
+// One replay-parity configuration: the corpus, k and the options.
+struct ParityCase {
+  std::size_t m = 128;
+  int k = 3;
+  KShapeOptions options;
+  bool zero_rows = false;
+  uint64_t seed = 1;
+
+  std::string Label() const {
+    return "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+           " plusplus=" +
+           std::to_string(options.init == KShapeInit::kPlusPlusSeeding) +
+           " warm=" + std::to_string(options.shape_options.warm_start) +
+           " matrix_free=" +
+           std::to_string(options.shape_options.use_matrix_free) +
+           " zero_rows=" + std::to_string(zero_rows) +
+           " seed=" + std::to_string(seed);
+  }
+};
+
 TEST(KShapeReplayParityTest, ClusterEqualsDirectSbdReplayBitwise) {
   SimdBackendGuard guard;  // Restores the thread count.
-  const int k = 3;
-  int near_ties = 0;
-  int divergent = 0;
+  std::vector<ParityCase> cases;
+  // The default configuration over both lengths, inits and eight seeds.
   for (const std::size_t m : {128, 512}) {
     for (const KShapeInit init :
          {KShapeInit::kRandomAssignment, KShapeInit::kPlusPlusSeeding}) {
-      KShapeOptions options;
-      options.init = init;
-      const KShape kshape(options);
       for (uint64_t seed = 1; seed <= 8; ++seed) {
-        common::Rng corpus_rng(1000 * m + seed);
-        std::vector<Series> series;
-        for (int i = 0; i < 45; ++i) {
-          series.push_back(
-              tseries::ZNormalized(data::MakeCbf(i % 3, m, &corpus_rng)));
-        }
-        common::SetThreadCount(1);
-        const ReplayResult replay = ReplayKShape(series, k, options, seed);
-        near_ties += replay.near_ties;
-        for (const int threads : {1, 2, 8}) {
-          common::SetThreadCount(threads);
-          common::Rng rng(seed);
-          const cluster::ClusteringResult fit = kshape.Cluster(series, k, &rng);
-          const bool same = fit.assignments == replay.result.assignments &&
-                            fit.centroids == replay.result.centroids &&
-                            fit.iterations == replay.result.iterations;
-          if (replay.near_ties > 0) {
-            divergent += !same;  // Certified in the replay above.
-            continue;
+        ParityCase c;
+        c.m = m;
+        c.options.init = init;
+        c.seed = seed;
+        cases.push_back(c);
+      }
+    }
+  }
+  // Every solve shape of the fused member pass and the side-by-side solves:
+  // warm and cold starts (cold ones draw from the rng in cluster order),
+  // pool and Gram storage, one cluster (the solve keeps its own fan-out) to
+  // many (including ones that fall below the matrix-free crossover), and a
+  // corpus with all-zero rows.
+  for (const int k : {1, 3, 8}) {
+    for (const bool warm : {true, false}) {
+      for (const bool matrix_free : {true, false}) {
+        for (const bool zero_rows : {false, true}) {
+          for (uint64_t seed = 1; seed <= 2; ++seed) {
+            ParityCase c;
+            c.m = 96;
+            c.k = k;
+            c.options.init = seed == 1 ? KShapeInit::kRandomAssignment
+                                       : KShapeInit::kPlusPlusSeeding;
+            c.options.shape_options.warm_start = warm;
+            c.options.shape_options.use_matrix_free = matrix_free;
+            c.zero_rows = zero_rows;
+            c.seed = seed;
+            cases.push_back(c);
           }
-          EXPECT_TRUE(same) << "m=" << m << " plusplus="
-                            << (init == KShapeInit::kPlusPlusSeeding)
-                            << " seed=" << seed << " threads=" << threads;
         }
       }
     }
   }
+
+  int near_ties = 0;
+  int divergent = 0;
+  int compared = 0;
+  for (const ParityCase& c : cases) {
+    common::Rng corpus_rng(1000 * c.m + c.seed);
+    std::vector<Series> series;
+    for (int i = 0; i < 45; ++i) {
+      series.push_back(
+          c.zero_rows && i % 9 == 4
+              ? Series(c.m, 0.0)
+              : tseries::ZNormalized(data::MakeCbf(i % 3, c.m, &corpus_rng)));
+    }
+    common::SetThreadCount(1);
+    const ReplayResult replay = ReplayKShape(series, c.k, c.options, c.seed);
+    near_ties += replay.near_ties;
+    const KShape kshape(c.options);
+    for (const int threads : {1, 2, 8}) {
+      common::SetThreadCount(threads);
+      common::Rng rng(c.seed);
+      const cluster::ClusteringResult fit = kshape.Cluster(series, c.k, &rng);
+      const bool same = fit.assignments == replay.result.assignments &&
+                        fit.centroids == replay.result.centroids &&
+                        fit.iterations == replay.result.iterations;
+      if (replay.near_ties > 0) {
+        divergent += !same;  // Certified in the replay above.
+        continue;
+      }
+      ++compared;
+      EXPECT_TRUE(same) << c.Label() << " threads=" << threads;
+    }
+  }
+  // Near-ties are rare; nearly every configuration is compared bitwise.
+  EXPECT_GE(compared, static_cast<int>(cases.size() * 3 * 9 / 10));
   std::cout << "[ near-ties ] " << near_ties
             << " aligned pairs differ in shift (certified near-ties); "
-            << divergent << " fits diverged after one\n";
+            << divergent << " fits diverged after one; " << compared
+            << " fits compared bitwise\n";
   RecordProperty("near_ties", near_ties);
 }
 

@@ -1,11 +1,13 @@
 // Unit tests for the task-parallel runtime in common/parallel.h: chunk
 // decomposition, index coverage, empty/degenerate ranges, exception
-// propagation, nested-call safety, the single-thread inline fallback, and
-// the KSHAPE_THREADS / SetThreadCount configuration surface.
+// propagation, nested-call safety (including the bit-identity of a nested
+// RowPoolMatVec fan-out), the single-thread inline fallback, and the
+// KSHAPE_THREADS / SetThreadCount configuration surface.
 
 #include "common/parallel.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <mutex>
 #include <numeric>
@@ -14,6 +16,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "linalg/row_pool.h"
 
 namespace kshape {
 namespace {
@@ -132,6 +136,47 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
   for (std::size_t i = 0; i < visits.size(); ++i) {
     EXPECT_EQ(visits[i], 1) << "cell " << i;
   }
+}
+
+TEST(ThreadPoolTest, NestedRowPoolMatVecMatchesTopLevelBitwise) {
+  // The k-Shape driver solves its clusters' eigenproblems one per pool task;
+  // inside a task, each RowPoolMatVec::Apply runs inline under the nested-
+  // call rule. Its chunks are a function of the row count alone, so the
+  // inline run must reproduce the top-level fan-out bit for bit.
+  const std::size_t rows = 300;  // 60 chunks of 5 rows.
+  const std::size_t m = 37;
+  std::vector<double> pool_rows(rows * m);
+  std::vector<double> u(m);
+  for (std::size_t i = 0; i < pool_rows.size(); ++i) {
+    pool_rows[i] = std::sin(0.37 * static_cast<double>(i)) +
+                   1e-3 * static_cast<double>(i % 11);
+  }
+  for (std::size_t j = 0; j < m; ++j) {
+    u[j] = std::cos(0.91 * static_cast<double>(j));
+  }
+  common::SetThreadCount(1);
+  std::vector<double> expected(m);
+  linalg::RowPoolMatVec(pool_rows.data(), rows, m).Apply(u, expected);
+
+  const std::size_t tasks = 6;
+  for (const int threads : {1, 2, 8}) {
+    common::SetThreadCount(threads);
+    std::vector<double> top(m);
+    linalg::RowPoolMatVec(pool_rows.data(), rows, m).Apply(u, top);
+    EXPECT_EQ(top, expected) << "top level, threads=" << threads;
+    std::vector<std::vector<double>> nested(tasks, std::vector<double>(m));
+    common::ParallelFor(0, tasks, 1, [&](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) {
+        // One operator per task: Apply reuses per-object partial buffers.
+        linalg::RowPoolMatVec(pool_rows.data(), rows, m).Apply(u, nested[t]);
+      }
+    });
+    for (std::size_t t = 0; t < tasks; ++t) {
+      EXPECT_EQ(nested[t], expected) << "task " << t << ", threads="
+                                     << threads;
+    }
+  }
+  common::SetThreadCount(1);
 }
 
 TEST(ThreadPoolTest, SingleThreadPoolSpawnsNoWorkersAndRunsInline) {
