@@ -20,15 +20,18 @@
 //   BENCH {"bench":"fig12_sharded","workload":"minibatch_kshape","n":100000,
 //          "m":128,"k":3,"shard_rows":8192,"max_resident_shards":4,
 //          "minibatch":4096,"seconds":12.3,"rand":0.91,"ari":0.80,
-//          "iterations":15,"converged":false,"shards_loaded":52,
-//          "shard_evictions":48,"sampled_series":49152,
+//          "iterations":15,"converged":false,"shards_loaded":208,
+//          "shard_evictions":204,"sampled_series":49152,
 //          "resident_bound_ok":true}
 //
 // Records also land in BENCH_sharded.json (a JSON array) for CI. The
 // residency bound is asserted, not just reported: the run aborts if the
-// store ever ends up holding more shards than its budget. Flags compose:
-// `--sharded --smoke` is the CI leg (n = 20000), `--sharded` the default
-// sweep (n = 100000, 250000), `--sharded --xl` adds n = 1000000.
+// store ever ends up holding more shards than its budget. So is the load
+// bound of a reseed-free fit: one walk over the shards per iteration plus
+// iteration 0's member fill, shards_loaded <= shards * (iterations + 1).
+// Flags compose: `--sharded --smoke` is the CI leg (n = 20000: 3 shards
+// under a budget of 2, so every walk evicts), `--sharded` the default sweep
+// (n = 100000, 250000), `--sharded --xl` adds n = 1000000.
 
 #include <cstdio>
 #include <filesystem>
@@ -121,6 +124,16 @@ ShardedRunResult RunSharded(kshape::store::ShardedSeriesStore* store,
   // The residency budget is the bench's contract, not a best-effort hint.
   KSHAPE_CHECK_MSG(store->resident_count() <= store->max_resident_shards(),
                    "residency budget exceeded");
+  // Each iteration's assignment walk also fills the next iteration's
+  // members; only a reseed (whose repair invalidates those fills) or ++
+  // seeding adds walks.
+  if (options.init == kshape::core::KShapeInit::kRandomAssignment &&
+      out.clustering.empty_cluster_reseeds == 0) {
+    KSHAPE_CHECK_MSG(out.clustering.shards_loaded <=
+                         static_cast<long long>(store->num_shards()) *
+                             (out.clustering.iterations + 1),
+                     "more than one shard walk per iteration");
+  }
   out.rand_index = kshape::eval::RandIndex(labels, out.clustering.assignments);
   out.ari =
       kshape::eval::AdjustedRandIndex(labels, out.clustering.assignments);
@@ -167,7 +180,8 @@ int RunShardedMode(bool smoke, bool xl) {
 
   core::KShapeOptions options;
   options.shard_rows = 8192;
-  options.max_resident_shards = 4;
+  // Below the smoke corpus's 3 shards, so the CI leg runs under eviction.
+  options.max_resident_shards = smoke ? 2 : 4;
   options.minibatch_size = 4096;
   options.refresh_period = 5;
   options.max_iterations = 15;

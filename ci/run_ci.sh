@@ -18,7 +18,10 @@
 #    own: mini-batch mode and matrix-free extraction are chosen by options
 #    alone, and the suites pin both sides in-process. Then the
 #    storage-layout, simd-kernels, rfft-batch, assignment-pruning, and
-#    shape-extraction microbenches plus the sharded fig12 scalability bench in --smoke mode as release-stage smoke tests
+#    shape-extraction microbenches plus the sharded fig12 scalability bench
+#    in --smoke mode (3 shards under a residency budget of 2, so every shard
+#    walk evicts; it checks the one-walk-per-iteration load bound) as
+#    release-stage smoke tests
 #    (all cross-check bit-identity, epsilon equivalence, or label equality
 #    and write their BENCH_*.json files), the model_predict serving bench in
 #    --smoke mode (asserts saved->loaded Predict bit-identity), and a
@@ -49,7 +52,11 @@
 #    committed sequentially) and the side-by-side per-cluster eigen solves
 #    (cold starts pre-drawn on the coordinating thread) — the replay-parity
 #    test in shape_extraction_test runs both at 1/2/8 threads, and
-#    kshape_test runs full fits through them at KSHAPE_THREADS=4;
+#    kshape_test runs full fits through them at KSHAPE_THREADS=4 — and its
+#    one shard walk per iteration (each shard's parallel assignment scan
+#    followed by the next iteration's parallel member fill while the shard
+#    is resident), which minibatch_kshape_test drives under eviction,
+#    sampling and reseeds;
 #    fitted_model_test also runs under TSan because
 #    Predict drives the Assigner's parallel assignment fan-out over a frozen
 #    model at multiple thread counts, and because it sums the engine's
@@ -65,7 +72,8 @@
 #    pruning_test (bound-plane indexing at Bluestein lengths, the
 #    partial-sum checkpoint tails), sharded_store_test (mmap-free file I/O,
 #    truncated/corrupt shard handling), minibatch_kshape_test (sampled
-#    scatter indexing, streamed repair), shape_extraction_test (pooled-row
+#    scatter indexing, streamed repair, the fused walk's per-block row
+#    ranges, deferred last-block fill and post-reseed refill), shape_extraction_test (pooled-row
 #    and partial-block indexing on the matrix-free path, crossover/spill
 #    boundaries, the zero-fill shift of caller-supplied alignment lags),
 #    kshape_test (full fits feeding engine-derived lags into the shifted-row
@@ -136,7 +144,7 @@ MODEL_FILE="$(mktemp -u /tmp/kshape_ci_model.XXXXXX.kmodel)"
 "${RELEASE_DIR}/examples/kshape_predict" "${MODEL_FILE}" --per-class 5
 rm -f "${MODEL_FILE}"
 
-echo "==> sharded fig12 smoke test (out-of-core exact + mini-batch runs)"
+echo "==> sharded fig12 smoke test (out-of-core exact + mini-batch runs under eviction)"
 (cd "${RELEASE_DIR}" && ./bench/fig12_scalability --sharded --smoke)
 
 NATIVE_DIR="${PREFIX}-native"

@@ -79,7 +79,10 @@ struct ClusteringResult {
   /// refinement iterations: extraction_seconds covers the centroid
   /// recomputation (shape extraction / KSC eigenproblem, including member
   /// alignment), assignment_seconds the assignment step plus empty-cluster
-  /// repair. These make phase dominance visible in every bench/CLI run —
+  /// repair. Where one pass over the data does both — the k-Shape driver
+  /// fills the next iteration's members in its assignment walk — the member
+  /// fill counts as extraction and the rest of the walk, including loading
+  /// each block, as assignment. These make phase dominance visible in every bench/CLI run —
   /// e.g. that extraction dominates once assignment is pruned, and what the
   /// matrix-free extraction path buys back. Wall-clock, so not part of any
   /// determinism contract; methods without an iterative refinement loop

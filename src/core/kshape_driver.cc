@@ -117,21 +117,55 @@ std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
   return sample;
 }
 
-// Calls fn(block, pos, stop) for each block holding sampled rows, where
-// sample[pos, stop) are that block's rows. `sample` is sorted, so blocks are
-// visited in ascending order.
-template <typename Fn>
-void ForEachSampledBlock(BlockSource* source,
-                         const std::vector<std::size_t>& sample, Fn fn) {
+// The rows one walk over the blocks visits for one purpose: every row (a
+// full pass), or a sorted sample (possibly empty: nothing).
+struct RowSet {
+  bool all = false;
+  std::vector<std::size_t> sample;
+};
+
+// A RowSet's rows inside one block: every row of the block when the set is
+// all, else sample[pos, pos + count). row(t) is the t-th one, block-local.
+struct BlockRows {
+  const RowSet* set = nullptr;
+  std::size_t base = 0;
   std::size_t pos = 0;
-  while (pos < sample.size()) {
-    const SeriesBlock block = source->Block(source->BlockOfRow(sample[pos]));
-    const std::size_t block_end = block.base + block.batch.size();
-    std::size_t stop = pos;
-    while (stop < sample.size() && sample[stop] < block_end) ++stop;
-    fn(block, pos, stop);
-    pos = stop;
+  std::size_t count = 0;
+  std::size_t row(std::size_t t) const {
+    return set->all ? t : set->sample[pos + t] - base;
   }
+};
+
+// The rows of `set` inside `block`. Blocks are taken in ascending order;
+// *pos is the first sample position no earlier block took.
+BlockRows TakeRows(const RowSet& set, const SeriesBlock& block,
+                   std::size_t* pos) {
+  BlockRows rows{&set, block.base, *pos, block.batch.size()};
+  if (!set.all) {
+    const std::size_t end = block.base + block.batch.size();
+    while (*pos < set.sample.size() && set.sample[*pos] < end) ++*pos;
+    rows.count = *pos - rows.pos;
+  }
+  return rows;
+}
+
+// The blocks holding a row of `a` or `b`, ascending.
+std::vector<std::size_t> BlocksOf(const BlockSource& source, const RowSet& a,
+                                  const RowSet& b) {
+  std::vector<std::size_t> blocks;
+  if (a.all || b.all) {
+    blocks.resize(source.num_blocks());
+    for (std::size_t i = 0; i < blocks.size(); ++i) blocks[i] = i;
+    return blocks;
+  }
+  for (const RowSet* set : {&a, &b}) {
+    for (const std::size_t i : set->sample) {
+      blocks.push_back(source.BlockOfRow(i));
+    }
+  }
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+  return blocks;
 }
 
 }  // namespace
@@ -203,101 +237,160 @@ cluster::ClusteringResult RunKShapeDriver(
                : distance->Distance(result.centroids[j], block.batch[r]);
   };
 
+  // The rows iteration `iter` visits: every row on a full pass, else a
+  // sample drawn from `draw` on the coordinating thread.
+  const auto rows_of = [&](int iter, common::Rng* draw) {
+    RowSet rows;
+    rows.all = !sampling || (iter + 1) % options.refresh_period == 0 ||
+               iter + 1 == options.max_iterations;
+    if (!rows.all) {
+      rows.sample = SampleWithoutReplacement(n, options.minibatch_size, draw);
+    }
+    return rows;
+  };
+
+  // Refinement (Algorithm 3, lines 5-10): one ShapeAccumulator per cluster,
+  // referenced at the current centroid, which its members align toward.
+  // Each block's members take one fused pass: counted per cluster, given a
+  // slot in global index order, and staged (the pool grows once per block);
+  // then a single ParallelFor builds every member's aligned z-normalized row
+  // straight into its slot, and Commit folds the slots in slot order — the
+  // bits of feeding Add(member, shift) in global index order. With block
+  // engines a member's alignment shift is the engine's cached NCC peak
+  // against its cluster's query (one inverse, no forwards; equal to the
+  // direct Sbd() shift of Add(member) except at near-tie lags): the queries
+  // BeginIteration minted from exactly these references, since repair and
+  // sampled passes leave result.centroids alone. The first iteration has
+  // none and its all-zero references align nothing; without engines the
+  // shift is the direct Sbd() one. The accumulators take the caller's shape
+  // options verbatim; no pool cap is derived from the block geometry, since
+  // a geometry-dependent spill would make results depend on the block cut.
+  std::vector<ShapeAccumulator> accumulators;
+  const auto reset_accumulators = [&] {
+    accumulators.clear();
+    for (int j = 0; j < k; ++j) {
+      accumulators.emplace_back(result.centroids[j], options.shape_options);
+    }
+  };
+  std::vector<std::size_t> slot;
+  std::vector<std::size_t> members(k);
+  const auto fill = [&](const SeriesBlock& block, const BlockRows& rows) {
+    if (rows.count == 0) return;
+    const bool cached_shifts = engines && !assigner.queries().empty();
+    slot.resize(rows.count);
+    std::fill(members.begin(), members.end(), 0);
+    for (std::size_t t = 0; t < rows.count; ++t) {
+      slot[t] = members[result.assignments[block.base + rows.row(t)]]++;
+    }
+    for (int j = 0; j < k; ++j) accumulators[j].Stage(members[j]);
+    common::ParallelFor(0, rows.count, kScanGrain,
+                        [&](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) {
+        const std::size_t r = rows.row(t);
+        const int label = result.assignments[block.base + r];
+        if (cached_shifts) {
+          accumulators[label].Fill(
+              slot[t], block.batch[r],
+              block.engine->MaxNcc(assigner.queries()[label], r).shift);
+        } else {
+          accumulators[label].Fill(slot[t], block.batch[r]);
+        }
+      }
+    });
+    for (ShapeAccumulator& accumulator : accumulators) accumulator.Commit();
+  };
+
+  // Assignment (Algorithm 3, lines 11-17) of one block's rows, delegated to
+  // the Assigner: rows fan out on the pool with disjoint writes.
+  const auto assign = [&](const SeriesBlock& block, const BlockRows& rows) {
+    if (rows.count == 0) return;
+    if (!rows.set->all) {
+      assigner.AssignSample(*block.engine, block.base, rows.set->sample,
+                            rows.pos, rows.pos + rows.count,
+                            &result.assignments);
+    } else if (engines) {
+      assigner.AssignBlock(*block.engine, block.base, &result.assignments);
+    } else {
+      assigner.AssignBlockWith(
+          [&](int j, std::size_t i) {
+            return distance->Distance(result.centroids[j],
+                                      block.batch[i - block.base]);
+          },
+          block.base, block.batch.size(), &result.assignments);
+    }
+  };
+
+  // One walk over the blocks holding a row of `to_assign` or `to_fill`, in
+  // ascending order (the order the Assigner's telemetry reduction and the
+  // accumulator commits require): each block is acquired once, its
+  // `to_assign` rows are assigned, then its `to_fill` rows are fed to the
+  // accumulators. A block's fill reads only labels of its own rows, which
+  // its assignment has already settled. With `defer_last` the last block's
+  // fill is returned instead of run; fill time is added to `fill_seconds`.
+  struct DeferredFill {
+    std::size_t block = 0;
+    BlockRows rows;
+  };
+  const auto walk = [&](const RowSet& to_assign, const RowSet& to_fill,
+                        bool defer_last, double* fill_seconds) {
+    const std::vector<std::size_t> blocks =
+        BlocksOf(*source, to_assign, to_fill);
+    std::size_t assign_pos = 0;
+    std::size_t fill_pos = 0;
+    DeferredFill deferred;
+    for (std::size_t v = 0; v < blocks.size(); ++v) {
+      const SeriesBlock block = source->Block(blocks[v]);
+      assign(block, TakeRows(to_assign, block, &assign_pos));
+      const BlockRows rows = TakeRows(to_fill, block, &fill_pos);
+      if (defer_last && v + 1 == blocks.size()) {
+        deferred = {blocks[v], rows};
+      } else {
+        const common::Stopwatch fill_clock;
+        fill(block, rows);
+        *fill_seconds += fill_clock.ElapsedSeconds();
+      }
+    }
+    return deferred;
+  };
+
+  // Iteration t's assignment walk also fills iteration t+1's accumulators
+  // (referenced at the centroids t just solved, aligned with t's queries,
+  // over the labels t just wrote), so each block is acquired once per
+  // iteration. Only the first iteration, and one whose repair reseeded a
+  // cluster (repair rewrites labels the fused fills already read), run a
+  // walk that fills alone.
+  RowSet rows = rows_of(0, rng);
+  bool filled = false;  // `accumulators` already hold `rows`' members
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     const std::vector<int> previous = result.assignments;
-    const bool full_pass = !sampling ||
-                           (iter + 1) % options.refresh_period == 0 ||
-                           iter + 1 == options.max_iterations;
-
-    // Sample draw (coordinating thread, before any parallel work).
-    std::vector<std::size_t> sample;
-    if (!full_pass) {
-      sample = SampleWithoutReplacement(n, options.minibatch_size, rng);
-      result.sampled_series += static_cast<long long>(sample.size());
+    if (!rows.all) {
+      result.sampled_series += static_cast<long long>(rows.sample.size());
     }
 
     assigner.SnapshotCentroids(result.centroids);
 
-    // Refinement (Algorithm 3, lines 5-10): one ShapeAccumulator per
-    // cluster, aligned toward the previous centroid. Each block's members
-    // take one fused pass: counted per cluster, given a slot in global index
-    // order, and staged (the pool grows once per block); then a single
-    // ParallelFor builds every member's aligned z-normalized row straight
-    // into its slot, and Commit folds the slots in slot order — the bits of
-    // feeding Add(member, shift) in global index order. With block engines a
-    // member's alignment shift is the engine's cached NCC peak against its
-    // cluster's query (one inverse, no forwards; equal to the direct Sbd()
-    // shift of Add(member) except at near-tie lags). BeginIteration minted
-    // those queries from exactly these references, since repair and sampled
-    // passes leave result.centroids alone. The first iteration has none and
-    // its all-zero references align nothing; without engines the shift is
-    // the direct Sbd() one. The accumulators take the caller's shape options
-    // verbatim; no pool cap is derived from the block geometry, since a
-    // geometry-dependent spill would make results depend on the block cut.
-    //
-    // The solves then run side by side: the coordinating thread draws every
-    // cold start in cluster order (the draws Finish(rng) would take, cluster
-    // by cluster), and the k eigenproblems run one per pool task, each
-    // matrix-free matvec fanning out inline on its fixed chunks (a lone
+    common::Stopwatch phase_clock;
+    double fill_seconds = 0.0;
+    if (!filled) {
+      reset_accumulators();
+      walk(RowSet{}, rows, /*defer_last=*/false, &fill_seconds);
+    }
+
+    // The solves run side by side: the coordinating thread draws every
+    // cold start in cluster order (the draws Finish(rng) would take,
+    // cluster by cluster), and the k eigenproblems run one per pool task,
+    // each matrix-free matvec fanning out inline on its fixed chunks (a lone
     // cluster keeps the pool-wide fan-out). A degenerate extraction (all
     // members zero-norm) keeps the zero centroid as its documented
     // representative and is surfaced via the result flag.
-    common::Stopwatch phase_clock;
     {
-      std::vector<ShapeAccumulator> accumulators;
-      accumulators.reserve(k);
-      for (int j = 0; j < k; ++j) {
-        accumulators.emplace_back(result.centroids[j], options.shape_options);
-      }
-      const bool cached_shifts = engines && !assigner.queries().empty();
-      std::vector<std::size_t> slot;
-      std::vector<std::size_t> members(k);
-      // Feeds `count` rows of `block`, the t-th at block-local row(t).
-      const auto feed = [&](const SeriesBlock& block, std::size_t count,
-                            const auto& row) {
-        slot.resize(count);
-        std::fill(members.begin(), members.end(), 0);
-        for (std::size_t t = 0; t < count; ++t) {
-          slot[t] = members[result.assignments[block.base + row(t)]]++;
-        }
-        for (int j = 0; j < k; ++j) accumulators[j].Stage(members[j]);
-        common::ParallelFor(0, count, kScanGrain,
-                            [&](std::size_t begin, std::size_t end) {
-          for (std::size_t t = begin; t < end; ++t) {
-            const std::size_t r = row(t);
-            const int label = result.assignments[block.base + r];
-            if (cached_shifts) {
-              accumulators[label].Fill(
-                  slot[t], block.batch[r],
-                  block.engine->MaxNcc(assigner.queries()[label], r).shift);
-            } else {
-              accumulators[label].Fill(slot[t], block.batch[r]);
-            }
-          }
-        });
-        for (ShapeAccumulator& accumulator : accumulators) accumulator.Commit();
-      };
-      if (full_pass) {
-        for (std::size_t b = 0; b < source->num_blocks(); ++b) {
-          const SeriesBlock block = source->Block(b);
-          feed(block, block.batch.size(), [](std::size_t t) { return t; });
-        }
-      } else {
-        ForEachSampledBlock(source, sample,
-                            [&](const SeriesBlock& block, std::size_t pos,
-                                std::size_t stop) {
-          feed(block, stop - pos, [&](std::size_t t) {
-            return sample[pos + t] - block.base;
-          });
-        });
-      }
       // No sampled member is not evidence the cluster is empty: such a
       // cluster keeps its previous centroid instead of being
       // degenerate-zeroed, and solves nothing (so draws nothing).
       std::vector<char> solve(k);
       std::vector<std::vector<double>> cold_starts(k);
       for (int j = 0; j < k; ++j) {
-        solve[j] = full_pass || accumulators[j].members_added() > 0;
+        solve[j] = rows.all || accumulators[j].members_added() > 0;
         if (solve[j]) {
           cold_starts[j] =
               accumulators[j].DrawColdStart(rng, options.shape_options);
@@ -321,38 +414,29 @@ cluster::ClusteringResult RunKShapeDriver(
         }
       }
     }
+    // Free the solved member pools before the walk stages the next ones.
+    accumulators.clear();
     result.extraction_seconds += phase_clock.ElapsedSeconds();
     phase_clock.Reset();
 
-    // Assignment (Algorithm 3, lines 11-17), delegated to the Assigner.
-    // BeginIteration mints this iteration's centroid queries once (shared by
-    // every block engine) and derives the movement-bound shifts; blocks
-    // stream on the coordinating thread in ascending order, rows fan out on
-    // the pool inside the Assigner with disjoint writes.
+    // BeginIteration mints this iteration's centroid queries once (shared
+    // by every block engine) and derives the movement-bound shifts. The
+    // next iteration's sample is drawn from a copy of the rng, committed
+    // only if that iteration runs: repair draws nothing, so the stream is
+    // the one drawing it at the next iteration's start would see. The last
+    // block's fill waits for the convergence check, with the block still
+    // resident, so a one-block run fills nothing it does not solve.
     assigner.BeginIteration(result.centroids);
-    if (!full_pass) {
-      ForEachSampledBlock(source, sample,
-                          [&](const SeriesBlock& block, std::size_t pos,
-                              std::size_t stop) {
-        assigner.AssignSample(*block.engine, block.base, sample, pos, stop,
-                              &result.assignments);
-      });
-    } else {
-      for (std::size_t b = 0; b < source->num_blocks(); ++b) {
-        const SeriesBlock block = source->Block(b);
-        if (engines) {
-          assigner.AssignBlock(*block.engine, block.base,
-                               &result.assignments);
-        } else {
-          assigner.AssignBlockWith(
-              [&](int j, std::size_t i) {
-                return distance->Distance(result.centroids[j],
-                                          block.batch[i - block.base]);
-              },
-              block.base, block.batch.size(), &result.assignments);
-        }
-      }
+    const bool next_may_run = iter + 1 < options.max_iterations;
+    common::Rng next_rng = *rng;
+    RowSet next;
+    if (next_may_run) {
+      next = rows_of(iter + 1, &next_rng);
+      reset_accumulators();
     }
+    fill_seconds = 0.0;
+    const DeferredFill deferred =
+        walk(rows, next, /*defer_last=*/true, &fill_seconds);
     const cluster::AssignmentIterationStats stats =
         assigner.iteration_stats();
     result.pruned_label_mismatches += assigner.iteration_verify_mismatches();
@@ -369,16 +453,26 @@ cluster::ClusteringResult RunKShapeDriver(
         cluster::RepairEmptyClusters(k, &result.assignments, repair_distance);
     result.empty_cluster_reseeds += reseeds;
     assigner.FinishIteration(reseeds);
-    result.assignment_seconds += phase_clock.ElapsedSeconds();
+    result.assignment_seconds += phase_clock.ElapsedSeconds() - fill_seconds;
+    result.extraction_seconds += fill_seconds;
 
     result.iterations = iter + 1;
     // Convergence is declared on full passes only: a sampled iteration
     // leaves most assignments untouched, so assignment equality there says
     // nothing about a corpus-wide fixed point.
-    if (full_pass && result.assignments == previous) {
+    if (rows.all && result.assignments == previous) {
       result.converged = true;
       break;
     }
+    if (!next_may_run) break;
+    *rng = next_rng;
+    filled = reseeds == 0;
+    if (filled && deferred.rows.count > 0) {
+      phase_clock.Reset();
+      fill(source->Block(deferred.block), deferred.rows);
+      result.extraction_seconds += phase_clock.ElapsedSeconds();
+    }
+    rows = std::move(next);
   }
   return result;
 }

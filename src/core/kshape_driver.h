@@ -4,12 +4,26 @@
 // ShardedSeriesStore) are facades over RunKShapeDriver: they differ only in
 // the BlockSource they present. The driver owns everything else —
 // initialization (random assignment or ++ D² seeding), the per-iteration
-// Assigner protocol (SnapshotCentroids → refinement → BeginIteration →
-// AssignBlock per block → RepairEmptyClusters → FinishIteration), shape
+// Assigner protocol (SnapshotCentroids → solve → BeginIteration → one walk
+// over the blocks → RepairEmptyClusters → FinishIteration), shape
 // refinement through one ShapeAccumulator per cluster (each block's members
 // aligned and normalized in one parallel pass, committed in global index
 // order; the clusters' eigenproblems solved side by side), and the
 // mini-batch schedule.
+//
+// Iteration t's walk visits, in ascending order, every block holding a row
+// that t assigns or t+1 refines, and acquires each once: it assigns the
+// block's rows (AssignBlock, AssignBlockWith or its slice of AssignSample),
+// then fills iteration t+1's accumulators with the same block's members —
+// referenced at the centroids t just solved, aligned with t's queries, over
+// the labels t just wrote. The last block's fill waits for the convergence
+// check, while that block is still resident. t+1's sample is drawn before
+// the walk from a copy of the rng that is committed only if t+1 runs. Only
+// iteration 0, and an iteration after a repair that reseeded (repair
+// rewrites labels the fills read; those fills are discarded), run a walk
+// that fills alone. Without reseeds and with random initialization a fit
+// therefore acquires every block of its walks once per iteration, plus once
+// for iteration 0's fill.
 //
 // Every order-sensitive reduction (the ++ D² totals, accumulator commits,
 // cold-start draws, telemetry, repair) runs in a fixed order on the
@@ -56,6 +70,9 @@ class BlockSource {
 
   /// Block b. The returned views stay valid until the next Block() call
   /// (a store-backed source may evict the previous block to load this one).
+  /// Within a walk the driver asks for blocks in ascending order; after it,
+  /// it may ask again for the walk's last block, which a source that kept it
+  /// resident serves without a reload.
   virtual SeriesBlock Block(std::size_t b) = 0;
 
   /// The block holding global row i.

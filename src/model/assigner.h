@@ -24,7 +24,11 @@
 //     → read iteration_stats() → FinishIteration(reseeds). Blocks must be
 //     presented in ascending base order so the telemetry reduction matches
 //     the historical global-index-order sums bit for bit (integer sums, so
-//     this is about discipline, not rounding).
+//     this is about discipline, not rounding). Between a block's assignment
+//     and the next, the caller may use queries() for other work on the same
+//     block: the k-Shape driver aligns the next iteration's members with
+//     them while the block is resident, so queries() must stay untouched
+//     until the next BeginIteration (FinishIteration leaves it alone).
 //
 // Determinism: each parallel worker writes only its own assignments[i],
 // bound cells, and telemetry cells; comparison sequences are ascending in

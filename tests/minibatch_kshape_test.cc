@@ -14,9 +14,10 @@
 // threads / backends / shard geometry (the sample is drawn on the
 // coordinating thread), its telemetry partitions B*k on sampled iterations
 // and n*k on full passes, its clustering quality tracks the exact run (ARI
-// sweep over seeds and both power-of-two and non-power-of-two lengths), and
-// the TryCluster Status boundary rejects malformed stores instead of
-// aborting.
+// sweep over seeds and both power-of-two and non-power-of-two lengths), a
+// fit loads each shard once per iteration (plus once for iteration 0's
+// member fill) and refills correctly after a reseed, and the TryCluster
+// Status boundary rejects malformed stores instead of aborting.
 
 #include <cmath>
 #include <cstdint>
@@ -101,11 +102,12 @@ ClusteringResult RunInMemory(const core::KShapeOptions& options,
   return kshape.Cluster(series, k, &rng);
 }
 
-// Spills `series` into a fresh sharded store under TempDir and clusters it.
-// The store is returned too, so tests can assert residency telemetry.
+// Spills `series` into a fresh sharded store under TempDir and clusters it
+// with `rng`. The store is returned too, so tests can assert residency
+// telemetry.
 std::pair<ClusteringResult, ShardedSeriesStore> RunSharded(
     const core::KShapeOptions& options, const std::vector<Series>& series,
-    int k, uint64_t seed, const std::string& tag) {
+    int k, common::Rng* rng, const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "/kshape_mb_" + tag;
   fs::remove_all(dir);
   common::StatusOr<ShardedSeriesStore> sharded =
@@ -113,9 +115,15 @@ std::pair<ClusteringResult, ShardedSeriesStore> RunSharded(
   EXPECT_TRUE(sharded.ok()) << sharded.status().message();
   ShardedSeriesStore store = std::move(sharded).value();
   const MiniBatchKShape driver(options);
-  common::Rng rng(seed);
-  ClusteringResult result = driver.Cluster(&store, k, &rng);
+  ClusteringResult result = driver.Cluster(&store, k, rng);
   return {std::move(result), std::move(store)};
+}
+
+std::pair<ClusteringResult, ShardedSeriesStore> RunSharded(
+    const core::KShapeOptions& options, const std::vector<Series>& series,
+    int k, uint64_t seed, const std::string& tag) {
+  common::Rng rng(seed);
+  return RunSharded(options, series, k, &rng, tag);
 }
 
 // Bitwise equivalence of everything that must not depend on how the corpus
@@ -459,13 +467,17 @@ struct MinibatchReplay {
   // Sampled iterations where a cluster got no sampled member (and so must
   // keep its centroid and draw no cold start).
   int memberless_sampled_clusters = 0;
+  // The replay's rng after the fit: the state a caller's rng must be left in.
+  common::Rng rng;
 };
 
 // The mini-batch schedule rebuilt from public calls over one engine, with
 // the sequential protocol the fused member pass replaced: each member added
 // in global index order with its cached NCC shift, then Finish(rng) in
 // cluster order for every cluster that has members (all of them on a full
-// pass).
+// pass). Every iteration refines before it assigns, each in a pass of its
+// own, and draws its sample at its start — the order the driver's fused
+// assign-and-fill walk must reproduce. Counts reseeds and convergence.
 MinibatchReplay ReplayMinibatch(const std::vector<Series>& series, int k,
                                 const core::KShapeOptions& options,
                                 uint64_t seed) {
@@ -474,8 +486,9 @@ MinibatchReplay ReplayMinibatch(const std::vector<Series>& series, int k,
   const core::EngineConfig config = core::EngineConfigFor(options);
   const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
                                config.half_spectrum, config.bound_planes);
-  common::Rng rng(seed);
   MinibatchReplay replay;
+  replay.rng = common::Rng(seed);
+  common::Rng& rng = replay.rng;
   ClusteringResult& result = replay.result;
   result.assignments = cluster::RandomAssignments(n, k, &rng);
   result.centroids.assign(k, Series(m, 0.0));
@@ -534,8 +547,12 @@ MinibatchReplay ReplayMinibatch(const std::vector<Series>& series, int k,
           return engine.Distance(assigner.queries()[j], i);
         });
     assigner.FinishIteration(reseeds);
+    result.empty_cluster_reseeds += reseeds;
     result.iterations = iter + 1;
-    if (full_pass && result.assignments == previous) break;
+    if (full_pass && result.assignments == previous) {
+      result.converged = true;
+      break;
+    }
   }
   return replay;
 }
@@ -570,6 +587,82 @@ TEST(MiniBatchKShapeTest, SampledPassSkipsClustersWithNoSampledMember) {
       EXPECT_EQ(result.iterations, replay.result.iterations) << what;
     }
   }
+}
+
+// Each iteration's assignment walk also fills the next iteration's
+// members, so with random initialization and no reseeds a fit acquires
+// every shard once for iteration 0's member fill and once per iteration
+// after that, even when the residency budget makes every walk reload.
+TEST(MiniBatchKShapeTest, LoadsEachShardOncePerIterationUnderEviction) {
+  ConfigGuard guard;
+  const std::size_t n = 40, m = 48;
+  const int k = 3;
+  const std::vector<Series> series = MakeCorpus(n, m, 61);
+  // Shards of 14, 14 and 12 rows: a 30-row sample leaves out at most 10
+  // rows, so every sample touches every shard.
+  for (const std::size_t batch : {std::size_t{0}, std::size_t{30}}) {
+    core::KShapeOptions options =
+        ShardedOptions(/*shard_rows=*/14, /*max_resident_shards=*/2);
+    options.minibatch_size = batch;
+    options.refresh_period = 3;
+    options.max_iterations = 12;
+    const auto [result, store] = RunSharded(
+        options, series, k, 67, "loads_" + std::to_string(batch));
+    const std::string what = "minibatch " + std::to_string(batch);
+    ASSERT_EQ(store.num_shards(), 3u) << what;
+    ASSERT_EQ(result.empty_cluster_reseeds, 0) << what;
+    EXPECT_GE(result.iterations, 3) << what;
+    EXPECT_EQ(result.sampled_series > 0, batch > 0) << what;
+    EXPECT_GT(result.shard_evictions, 0) << what;
+    EXPECT_EQ(result.shards_loaded,
+              static_cast<long long>(store.num_shards()) *
+                  (result.iterations + 1))
+        << what;
+  }
+}
+
+// A repair that reseeds rewrites labels the fused walk's member fills have
+// already read, so the driver discards those fills and refills in a walk of
+// its own. With k near n and one resident shard, that refill reloads every
+// shard it reads; the fit must still match the two-walk replay bit for bit,
+// and leave the caller's rng where the replay's is — also when it converges
+// on a full pass whose successor would have been sampled, so the sample the
+// driver drew ahead of time must not have been committed.
+TEST(MiniBatchKShapeTest, ReseedsRefillAndMatchReplayUnderEviction) {
+  ConfigGuard guard;
+  const std::size_t n = 12, m = 31;
+  const int k = 8;
+  core::KShapeOptions options =
+      ShardedOptions(/*shard_rows=*/5, /*max_resident_shards=*/1);
+  options.minibatch_size = 6;
+  options.refresh_period = 2;
+  options.max_iterations = 12;
+  int runs_with_reseeds = 0;
+  int converged_before_sampled = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::vector<Series> series = MakeCorpus(n, m, 300 + seed);
+    MinibatchReplay replay = ReplayMinibatch(series, k, options, seed);
+    common::Rng rng(seed);
+    const auto [result, store] = RunSharded(
+        options, series, k, &rng, "reseed_" + std::to_string(seed));
+    const std::string what = "seed " + std::to_string(seed);
+    EXPECT_EQ(result.assignments, replay.result.assignments) << what;
+    EXPECT_EQ(result.centroids, replay.result.centroids) << what;
+    EXPECT_EQ(result.iterations, replay.result.iterations) << what;
+    EXPECT_EQ(result.converged, replay.result.converged) << what;
+    EXPECT_EQ(result.empty_cluster_reseeds,
+              replay.result.empty_cluster_reseeds)
+        << what;
+    EXPECT_EQ(rng.NextUint64(), replay.rng.NextUint64()) << what;
+    if (result.empty_cluster_reseeds > 0) ++runs_with_reseeds;
+    if (result.converged && result.iterations + 1 < options.max_iterations &&
+        (result.iterations + 1) % options.refresh_period != 0) {
+      ++converged_before_sampled;
+    }
+  }
+  // The sweep must reach both paths, not pass vacuously.
+  EXPECT_GT(runs_with_reseeds, 0);
+  EXPECT_GT(converged_before_sampled, 0);
 }
 
 TEST(MiniBatchKShapeTest, MinibatchQualityTracksExactAcrossSeedsAndLengths) {
