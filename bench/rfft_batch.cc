@@ -76,8 +76,8 @@ void Record(const char* workload, std::size_t n, std::size_t m,
   g_records.emplace_back(buffer);
 }
 
-// Minimum of kRepetitions timings — same estimator as the simd_kernels and
-// storage_layout benches.
+// Minimum of kRepetitions timings — same estimator as the simd_kernels
+// bench.
 double TimeSeconds(const std::function<void()>& run) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kRepetitions; ++rep) {

@@ -70,7 +70,7 @@ void Record(const char* workload, std::size_t n, std::size_t m,
 }
 
 // Minimum of kRepetitions timings — the robust estimator for cache-resident
-// microkernels (same policy as the storage_layout bench).
+// microkernels.
 double TimeSeconds(const std::function<void()>& run) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kRepetitions; ++rep) {

@@ -17,8 +17,8 @@
 #    The sharded exact-mode and matrix-free contracts need no leg of their
 #    own: mini-batch mode and matrix-free extraction are chosen by options
 #    alone, and the suites pin both sides in-process. Then the
-#    storage-layout, simd-kernels, rfft-batch, assignment-pruning, and
-#    shape-extraction microbenches plus the sharded fig12 scalability bench
+#    simd-kernels, rfft-batch, assignment-pruning, and shape-extraction
+#    microbenches plus the sharded fig12 scalability bench
 #    in --smoke mode (3 shards under a residency budget of 2, so every shard
 #    walk evicts; it checks the one-walk-per-iteration load bound) as
 #    release-stage smoke tests
@@ -35,8 +35,9 @@
 #    like the library now that nothing is contracted into an FMA.
 # 3. ThreadSanitizer build; parallel_test, thread_pool_test, sbd_cache_test,
 #    fft_test, rfft_test, simd_kernels_test, pruning_test,
-#    sharded_store_test, shape_extraction_test, minibatch_kshape_test, and
-#    kshape_test run under TSan to catch data races in the pool,
+#    sharded_store_test, shape_extraction_test, minibatch_kshape_test,
+#    kshape_test, cluster_test and multivariate_test run under TSan to catch
+#    data races in the pool,
 #    the FFT/RFFT plan caches (incl. BatchSpectra parallel fill) and their
 #    per-thread transform scratch, the
 #    spectrum-cached SBD pipeline, the kernel dispatch cache (atomic table
@@ -56,7 +57,10 @@
 #    one shard walk per iteration (each shard's parallel assignment scan
 #    followed by the next iteration's parallel member fill while the shard
 #    is resident), which minibatch_kshape_test drives under eviction,
-#    sampling and reseeds;
+#    sampling and reseeds; cluster_test (KSC) and multivariate_test drive
+#    the same fill, solves and assignment scan through the driver's
+#    no-engine policy (KSC and mSBD distances and shifts called from pool
+#    tasks, the mSBD policy's parallel spectrum pre-pass);
 #    fitted_model_test also runs under TSan because
 #    Predict drives the Assigner's parallel assignment fan-out over a frozen
 #    model at multiple thread counts, and because it sums the engine's
@@ -74,13 +78,15 @@
 #    truncated/corrupt shard handling), minibatch_kshape_test (sampled
 #    scatter indexing, streamed repair, the fused walk's per-block row
 #    ranges, deferred last-block fill and post-reseed refill), shape_extraction_test (pooled-row
-#    and partial-block indexing on the matrix-free path, crossover/spill
+#    and partial-block indexing on the matrix-free path, crossover
 #    boundaries, the zero-fill shift of caller-supplied alignment lags),
 #    kshape_test (full fits feeding engine-derived lags into the shifted-row
 #    builder at small m and at k = n), and fitted_model_test (the .kmodel
 #    corruption matrix: truncated/ragged/byte-patched model files through the
-#    untrusted-input Load path) run under ASan+UBSan so every repair/fallback
-#    path is also checked for memory errors and UB.
+#    untrusted-input Load path) and multivariate_test (the packed
+#    channel-major rows: per-channel slices, spectrum slots and centroid
+#    unpacking) run under ASan+UBSan so every repair/fallback path is also
+#    checked for memory errors and UB.
 #
 # Usage: ci/run_ci.sh [build-dir-prefix]   (default: build-ci)
 
@@ -119,9 +125,6 @@ echo "==> tier1 tests, KSHAPE_HALF_SPECTRUM=off (forced full-complex spectra)"
 echo "==> tier1 tests, KSHAPE_PRUNE=off (forced exhaustive exact scans)"
 (cd "${RELEASE_DIR}" &&
  KSHAPE_PRUNE=off ctest -L tier1 --output-on-failure -j "${JOBS}")
-
-echo "==> storage-layout smoke test (contiguous vs nested bit-identity)"
-(cd "${RELEASE_DIR}" && ./bench/storage_layout --smoke)
 
 echo "==> simd-kernels smoke test (scalar vs dispatched bit-identity)"
 (cd "${RELEASE_DIR}" && ./bench/simd_kernels --smoke)
@@ -166,9 +169,9 @@ cmake --build "${TSAN_DIR}" -j "${JOBS}" \
       --target parallel_test thread_pool_test sbd_cache_test fft_test \
                rfft_test simd_kernels_test pruning_test sharded_store_test \
                shape_extraction_test minibatch_kshape_test fitted_model_test \
-               kshape_test
+               kshape_test cluster_test multivariate_test
 
-echo "==> race check: parallel + thread_pool + sbd_cache + fft + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model + kshape under TSan"
+echo "==> race check: parallel + thread_pool + sbd_cache + fft + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model + kshape + cluster + multivariate under TSan"
 # Run the parallel paths at a thread count high enough to force real
 # interleaving even on small CI machines.
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
@@ -195,6 +198,10 @@ KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/fitted_model_test"
 KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     "${TSAN_DIR}/tests/kshape_test"
+KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    "${TSAN_DIR}/tests/cluster_test"
+KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    "${TSAN_DIR}/tests/multivariate_test"
 
 echo "==> ASan+UBSan build (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -204,7 +211,7 @@ cmake --build "${ASAN_DIR}" -j "${JOBS}" \
                fft_test rfft_test simd_kernels_test pruning_test \
                sharded_store_test \
                shape_extraction_test kshape_test minibatch_kshape_test \
-               fitted_model_test
+               fitted_model_test multivariate_test
 
 echo "==> hostile-input check: robustness suites under ASan+UBSan"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
@@ -243,5 +250,8 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/fitted_model_test"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "${ASAN_DIR}/tests/multivariate_test"
 
 echo "==> CI OK"

@@ -2,17 +2,13 @@
 
 #include <cmath>
 #include <limits>
-
-#include <span>
+#include <vector>
 
 #include "common/check.h"
-#include "common/stopwatch.h"
+#include "core/kshape_driver.h"
 #include "fft/rfft.h"
-#include "linalg/eigen.h"
 #include "linalg/matrix.h"
-#include "linalg/row_pool.h"
 #include "simd/dispatch.h"
-#include "tseries/normalization.h"
 
 namespace kshape::cluster {
 
@@ -112,78 +108,28 @@ Ksc::Ksc(KscOptions options) : options_(options) {
 
 namespace {
 
-// KSC centroid: the unit vector mu minimizing
-//   sum_i || b_i - (b_i . mu) mu ||^2 / ||b_i||^2
-// over the aligned members b_i, i.e. the smallest eigenvector of
-// M = sum_i (I - b_i b_i^T / (b_i^T b_i)). Equivalently the *dominant*
-// eigenvector of P = sum_i b_i b_i^T / (b_i^T b_i), which power iteration
-// finds in O(m^2) per step.
-tseries::Series KscCentroid(const tseries::SeriesBatch& pool,
-                            const std::vector<std::size_t>& member_indices,
-                            tseries::SeriesView previous,
-                            common::Rng* rng, bool fft_align,
-                            bool matrix_free) {
-  const std::size_t m = previous.size();
-  if (member_indices.empty()) return tseries::Series(m, 0.0);
+// KSC as the k-Shape driver's policy. Assignment measures a series against
+// the centroid (KscAlignFft(series, centroid)); refinement shifts a member
+// toward the centroid (KscAlignFft(centroid, member)), whose zero-norm
+// convention leaves members of the all-zero initial centroid unshifted.
+class KscPolicy : public core::CentroidPolicy {
+ public:
+  core::CentroidSolve solve() const override {
+    return core::CentroidSolve::kKsc;
+  }
+  void Prepare(const std::vector<tseries::Series>& centroids) override {
+    centroids_ = centroids;
+  }
+  double Distance(int j, std::size_t, tseries::SeriesView row) const override {
+    return KscAlignFft(row, centroids_[j]).distance;
+  }
+  int Shift(int j, std::size_t, tseries::SeriesView row) const override {
+    return KscAlignFft(centroids_[j], row).shift;
+  }
 
-  const bool align = linalg::Norm(previous) > 0.0;
-  linalg::Matrix p;                 // Dense path: P accumulated directly.
-  std::vector<double> scaled_rows;  // Matrix-free path: rows b_i/||b_i||.
-  if (matrix_free) {
-    scaled_rows.reserve(member_indices.size() * m);
-  } else {
-    p = linalg::Matrix(m, m);
-  }
-  std::vector<double> mean(m, 0.0);
-  std::size_t used = 0;
-  for (std::size_t idx : member_indices) {
-    const tseries::SeriesView member = pool[idx];
-    tseries::Series b =
-        align ? tseries::ShiftWithZeroFill(
-                    member, fft_align ? KscAlignFft(previous, member).shift
-                                      : KscAlign(previous, member).shift)
-              : tseries::Series(member.begin(), member.end());
-    const double norm_sq = linalg::Dot(b, b);
-    if (norm_sq == 0.0) continue;
-    if (matrix_free) {
-      // Pool the unit-scaled row: Σ ŝŝᵀ = Σ bbᵀ/||b||² exactly in real
-      // arithmetic, to rounding in floating point — inside the epsilon
-      // contract of the matrix-free mode.
-      const double inv_norm = 1.0 / std::sqrt(norm_sq);
-      for (const double x : b) scaled_rows.push_back(x * inv_norm);
-    } else {
-      p.AddOuterProduct(b, 1.0 / norm_sq);
-    }
-    linalg::Axpy(1.0 / std::sqrt(norm_sq), b, &mean);
-    ++used;
-  }
-  if (used == 0) return tseries::Series(m, 0.0);
-
-  std::vector<double> centroid;
-  if (matrix_free) {
-    // P·v = Σ ŝᵢ(ŝᵢ·v): the matrix-free shape-extraction structure minus
-    // the centering, O(n_c·m) per power step with P never formed. The dense
-    // fallback (stalls only) materializes from the same scaled rows.
-    linalg::RowPoolMatVec op(scaled_rows.data(), used, m);
-    const linalg::MatVecFn matvec = [&](const std::vector<double>& v,
-                                        std::vector<double>* out) {
-      op.Apply(v, *out);
-    };
-    const linalg::MaterializeFn materialize = [&]() {
-      linalg::Matrix dense(m, m);
-      for (std::size_t r = 0; r < used; ++r) {
-        dense.AddOuterProduct(
-            std::span<const double>(scaled_rows.data() + r * m, m));
-      }
-      return dense;
-    };
-    centroid = linalg::DominantEigenvectorOp(m, matvec, materialize, rng);
-  } else {
-    centroid = linalg::DominantEigenvector(p, rng);
-  }
-  if (linalg::Dot(centroid, mean) < 0.0) linalg::Scale(&centroid, -1.0);
-  return centroid;
-}
+ private:
+  std::vector<tseries::Series> centroids_;
+};
 
 }  // namespace
 
@@ -192,61 +138,16 @@ ClusteringResult Ksc::Cluster(const tseries::SeriesBatch& series,
   KSHAPE_CHECK(!series.empty());
   KSHAPE_CHECK(k >= 1 && static_cast<std::size_t>(k) <= series.size());
   KSHAPE_CHECK(rng != nullptr);
-  const std::size_t n = series.size();
-  const std::size_t m = series.length();
-
-  const bool fft_align = options_.use_fft_alignment;
-  const auto distance = [&](tseries::SeriesView x, tseries::SeriesView y) {
-    return fft_align ? KscAlignFft(x, y).distance : KscAlign(x, y).distance;
-  };
-
-  ClusteringResult result;
-  result.assignments = RandomAssignments(n, k, rng);
-  result.centroids.assign(k, tseries::Series(m, 0.0));
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const std::vector<int> previous = result.assignments;
-
-    common::Stopwatch phase_clock;
-    const auto groups = GroupByCluster(result.assignments, k);
-    for (int j = 0; j < k; ++j) {
-      result.centroids[j] = KscCentroid(series, groups[j], result.centroids[j],
-                                        rng, fft_align,
-                                        options_.use_matrix_free);
-    }
-    result.extraction_seconds += phase_clock.ElapsedSeconds();
-    phase_clock.Reset();
-
-    for (std::size_t i = 0; i < n; ++i) {
-      double min_dist = std::numeric_limits<double>::infinity();
-      int best = result.assignments[i];
-      for (int j = 0; j < k; ++j) {
-        const double d = distance(series[i], result.centroids[j]);
-        if (d < min_dist) {
-          min_dist = d;
-          best = j;
-        }
-      }
-      result.assignments[i] = best;
-    }
-
-    // Re-seed empty clusters with the series farthest from its centroid —
-    // the same policy as k-means and k-Shape (KSC previously let requested
-    // clusters die silently). See RepairEmptyClusters for the tie-break
-    // contract.
-    result.empty_cluster_reseeds += RepairEmptyClusters(
-        k, &result.assignments, [&](int j, std::size_t i) {
-          return distance(series[i], result.centroids[j]);
-        });
-    result.assignment_seconds += phase_clock.ElapsedSeconds();
-
-    result.iterations = iter + 1;
-    if (result.assignments == previous) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.degenerate_centroids = CountDegenerateCentroids(result);
+  core::KShapeOptions options;
+  options.max_iterations = options_.max_iterations;
+  // Every KSC centroid solve starts cold and runs matrix-free over the
+  // pooled unit-scaled members, however few.
+  options.shape_options.warm_start = false;
+  options.shape_options.matrix_free_min_members = 1;
+  KscPolicy policy;
+  core::InMemoryBlockSource source(series, /*engine=*/nullptr);
+  ClusteringResult result = core::RunKShapeDriver(
+      &source, k, rng, options, /*minibatch=*/false, &policy);
   AttachFittedModel(&result, Name());
   return result;
 }

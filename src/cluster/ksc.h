@@ -48,30 +48,20 @@ class KscDistance : public distance::DistanceMeasure {
 /// Options for the KSC algorithm.
 struct KscOptions {
   int max_iterations = 100;
-
-  /// When true (default), centroid alignment and assignment distances run
-  /// through KscAlignFft — O(m log m) per pair instead of O(m^2) — on the
-  /// half-spectrum transform path. This option is the only switch: the
-  /// process-wide spectrum-layout gate does not affect KSC. False forces the
-  /// time-domain path, kept for ablation.
-  bool use_fft_alignment = true;
-
-  /// When true (default), the centroid eigenproblem runs matrix-free:
-  /// P = Σ bᵢbᵢᵀ/||bᵢ||² is never formed; power iteration
-  /// applies P·v = Σ ŝᵢ(ŝᵢ·v) over the unit-scaled aligned members
-  /// ŝᵢ = bᵢ/||bᵢ|| in O(n_c·m) per step — the same structure as matrix-free
-  /// shape extraction, minus the centering. Epsilon-equal to the dense path
-  /// (different summation order), with the identical RNG draw sequence.
-  /// False keeps the dense path.
-  bool use_matrix_free = true;
 };
 
 /// K-Spectral Centroid clustering: a k-means iteration whose assignment uses
 /// the scale/shift-invariant KSC distance and whose centroid is the
 /// eigenvector minimizing the summed normalized residuals — the smallest
 /// eigenvector of M = sum_i (I - b_i b_i^T / (b_i^T b_i)) over the members
-/// aligned to the previous centroid. One of the paper's scalable baselines
-/// (Table 3).
+/// aligned to the previous centroid, i.e. the dominant eigenvector of
+/// P = Σ ŝŝᵀ over the unit-scaled members. One of the paper's scalable
+/// baselines (Table 3).
+///
+/// A facade over the k-Shape driver (core/kshape_driver.h) with a KSC
+/// policy: distances and member shifts through KscAlignFft, the KSC
+/// centroid solve (core::CentroidSolve::kKsc), power iteration from a cold
+/// start, matrix-free for any member count.
 class Ksc : public ClusteringAlgorithm {
  public:
   explicit Ksc(KscOptions options = {});

@@ -86,7 +86,7 @@ ClusteringResult MiniBatchKShape::Cluster(store::ShardedSeriesStore* store,
 
   ShardEngines blocks(store, core::EngineConfigFor(options_));
   ClusteringResult result = core::RunKShapeDriver(
-      &blocks, k, rng, options_, /*minibatch=*/true, /*distance=*/nullptr);
+      &blocks, k, rng, options_, /*minibatch=*/true, /*policy=*/nullptr);
 
   result.shards_loaded = store->shards_loaded() - loaded_before;
   result.shard_evictions = store->shard_evictions() - evicted_before;

@@ -1,6 +1,7 @@
 #include "core/kshape.h"
 
 #include <optional>
+#include <vector>
 
 #include "common/check.h"
 #include "core/kshape_driver.h"
@@ -11,23 +12,27 @@ namespace kshape::core {
 
 namespace {
 
-// The in-memory corpus as the driver's single, always-resident block.
-class InMemoryBlock : public BlockSource {
+// A custom assignment distance as the driver's policy: distance and repair
+// through the measure, members aligned by the direct Sbd() shift, the
+// k-Shape solve.
+class MeasurePolicy : public CentroidPolicy {
  public:
-  InMemoryBlock(const tseries::SeriesBatch& series, const SbdEngine* engine)
-      : series_(series), engine_(engine) {}
+  explicit MeasurePolicy(const distance::DistanceMeasure* measure)
+      : measure_(measure) {}
 
-  std::size_t size() const override { return series_.size(); }
-  std::size_t length() const override { return series_.length(); }
-  std::size_t num_blocks() const override { return 1; }
-  SeriesBlock Block(std::size_t) override {
-    return SeriesBlock{series_, 0, engine_};
+  void Prepare(const std::vector<tseries::Series>& centroids) override {
+    centroids_ = centroids;
   }
-  std::size_t BlockOfRow(std::size_t) const override { return 0; }
+  double Distance(int j, std::size_t, tseries::SeriesView row) const override {
+    return measure_->Distance(centroids_[j], row);
+  }
+  int Shift(int j, std::size_t, tseries::SeriesView row) const override {
+    return Sbd(centroids_[j], row).shift;
+  }
 
  private:
-  tseries::SeriesBatch series_;
-  const SbdEngine* engine_;
+  const distance::DistanceMeasure* measure_;
+  std::vector<tseries::Series> centroids_;
 };
 
 }  // namespace
@@ -57,14 +62,18 @@ cluster::ClusteringResult KShape::Cluster(
     distance = &direct_sbd;
   }
   std::optional<SbdEngine> engine;
+  std::optional<MeasurePolicy> policy;
   if (distance == nullptr) {
     const EngineConfig config = EngineConfigFor(options_);
     engine.emplace(series, CrossCorrelationImpl::kFft, config.half_spectrum,
                    config.bound_planes);
+  } else {
+    policy.emplace(distance);
   }
-  InMemoryBlock block(series, engine ? &*engine : nullptr);
-  cluster::ClusteringResult result = RunKShapeDriver(
-      &block, k, rng, options_, /*minibatch=*/false, distance);
+  InMemoryBlockSource block(series, engine ? &*engine : nullptr);
+  cluster::ClusteringResult result =
+      RunKShapeDriver(&block, k, rng, options_, /*minibatch=*/false,
+                      policy ? &*policy : nullptr);
   cluster::AttachFittedModel(&result, Name());
   return result;
 }

@@ -13,6 +13,7 @@
 #include "core/shape_extraction.h"
 #include "fft/fft.h"
 #include "fft/rfft.h"
+#include "linalg/matrix.h"
 #include "model/assigner.h"
 
 namespace kshape::core {
@@ -180,8 +181,7 @@ EngineConfig EngineConfigFor(const KShapeOptions& options) {
 
 cluster::ClusteringResult RunKShapeDriver(
     BlockSource* source, int k, common::Rng* rng,
-    const KShapeOptions& options, bool minibatch,
-    const distance::DistanceMeasure* distance) {
+    const KShapeOptions& options, bool minibatch, CentroidPolicy* policy) {
   KSHAPE_CHECK(source != nullptr && rng != nullptr);
   const std::size_t n = source->size();
   const std::size_t m = source->length();
@@ -192,7 +192,14 @@ cluster::ClusteringResult RunKShapeDriver(
                             std::numeric_limits<int>::max()),
                    "corpus exceeds INT_MAX series");
   KSHAPE_CHECK(k >= 1 && static_cast<std::size_t>(k) <= n);
-  const bool engines = distance == nullptr;
+  const bool engines = policy == nullptr;
+  // Row channels: cluster j's channel c is accumulator j·d + c, solved over
+  // the row slice [c·cm, (c+1)·cm).
+  const std::size_t d = engines ? 1 : policy->channels();
+  KSHAPE_CHECK(d >= 1 && m % d == 0);
+  const std::size_t cm = m / d;
+  const CentroidSolve solve = engines ? CentroidSolve::kShape
+                                      : policy->solve();
   const EngineConfig config = EngineConfigFor(options);
   const bool half = engines && config.half_spectrum;
   const bool pruning = engines && config.bound_planes;
@@ -201,6 +208,8 @@ cluster::ClusteringResult RunKShapeDriver(
                         options.minibatch_size < n;
   KSHAPE_CHECK_MSG(engines || !sampling,
                    "mini-batch sampling needs the spectrum-cache path");
+  KSHAPE_CHECK_MSG(d == 1 || options.init == KShapeInit::kRandomAssignment,
+                   "++ seeding needs single-channel rows");
 
   cluster::ClusteringResult result;
   result.assignments =
@@ -232,9 +241,8 @@ cluster::ClusteringResult RunKShapeDriver(
   const auto repair_distance = [&](int j, std::size_t i) {
     const SeriesBlock block = source->Block(source->BlockOfRow(i));
     const std::size_t r = i - block.base;
-    return engines
-               ? block.engine->Distance(assigner.queries()[j], r)
-               : distance->Distance(result.centroids[j], block.batch[r]);
+    return engines ? block.engine->Distance(assigner.queries()[j], r)
+                   : policy->Distance(j, i, block.batch[r]);
   };
 
   // The rows iteration `iter` visits: every row on a full pass, else a
@@ -249,51 +257,64 @@ cluster::ClusteringResult RunKShapeDriver(
     return rows;
   };
 
-  // Refinement (Algorithm 3, lines 5-10): one ShapeAccumulator per cluster,
-  // referenced at the current centroid, which its members align toward.
+  // Refinement (Algorithm 3, lines 5-10): one ShapeAccumulator per cluster
+  // and channel, referenced at the current centroid, which its members align
+  // toward.
   // Each block's members take one fused pass: counted per cluster, given a
   // slot in global index order, and staged (the pool grows once per block);
-  // then a single ParallelFor builds every member's aligned z-normalized row
+  // then a single ParallelFor builds every member's aligned, normalized row
   // straight into its slot, and Commit folds the slots in slot order — the
   // bits of feeding Add(member, shift) in global index order. With block
   // engines a member's alignment shift is the engine's cached NCC peak
   // against its cluster's query (one inverse, no forwards; equal to the
   // direct Sbd() shift of Add(member) except at near-tie lags): the queries
   // BeginIteration minted from exactly these references, since repair and
-  // sampled passes leave result.centroids alone. The first iteration has
-  // none and its all-zero references align nothing; without engines the
-  // shift is the direct Sbd() one. The accumulators take the caller's shape
-  // options verbatim; no pool cap is derived from the block geometry, since
-  // a geometry-dependent spill would make results depend on the block cut.
+  // sampled passes leave result.centroids alone; without engines it is the
+  // policy's, prepared with the same centroids. The accumulators take the
+  // caller's shape options verbatim.
   std::vector<ShapeAccumulator> accumulators;
   const auto reset_accumulators = [&] {
     accumulators.clear();
     for (int j = 0; j < k; ++j) {
-      accumulators.emplace_back(result.centroids[j], options.shape_options);
+      const tseries::SeriesView centroid = result.centroids[j];
+      const bool align = linalg::Norm(centroid) > 0.0;
+      for (std::size_t c = 0; c < d; ++c) {
+        accumulators.emplace_back(centroid.subspan(c * cm, cm),
+                                  options.shape_options, solve, align);
+      }
     }
   };
+  // Members align once BeginIteration (and Prepare) have seen solved
+  // centroids; before that every reference is the all-zero centroid.
+  bool aligned = false;
   std::vector<std::size_t> slot;
   std::vector<std::size_t> members(k);
   const auto fill = [&](const SeriesBlock& block, const BlockRows& rows) {
     if (rows.count == 0) return;
-    const bool cached_shifts = engines && !assigner.queries().empty();
     slot.resize(rows.count);
     std::fill(members.begin(), members.end(), 0);
     for (std::size_t t = 0; t < rows.count; ++t) {
       slot[t] = members[result.assignments[block.base + rows.row(t)]]++;
     }
-    for (int j = 0; j < k; ++j) accumulators[j].Stage(members[j]);
+    for (std::size_t a = 0; a < accumulators.size(); ++a) {
+      accumulators[a].Stage(members[a / d]);
+    }
     common::ParallelFor(0, rows.count, kScanGrain,
                         [&](std::size_t begin, std::size_t end) {
       for (std::size_t t = begin; t < end; ++t) {
         const std::size_t r = rows.row(t);
-        const int label = result.assignments[block.base + r];
-        if (cached_shifts) {
-          accumulators[label].Fill(
-              slot[t], block.batch[r],
-              block.engine->MaxNcc(assigner.queries()[label], r).shift);
-        } else {
-          accumulators[label].Fill(slot[t], block.batch[r]);
+        const std::size_t i = block.base + r;
+        const int label = result.assignments[i];
+        const tseries::SeriesView row = block.batch[r];
+        int shift = 0;
+        if (aligned) {
+          shift = engines
+                      ? block.engine->MaxNcc(assigner.queries()[label], r).shift
+                      : policy->Shift(label, i, row);
+        }
+        for (std::size_t c = 0; c < d; ++c) {
+          accumulators[label * d + c].Fill(slot[t], row.subspan(c * cm, cm),
+                                           shift);
         }
       }
     });
@@ -313,8 +334,7 @@ cluster::ClusteringResult RunKShapeDriver(
     } else {
       assigner.AssignBlockWith(
           [&](int j, std::size_t i) {
-            return distance->Distance(result.centroids[j],
-                                      block.batch[i - block.base]);
+            return policy->Distance(j, i, block.batch[i - block.base]);
           },
           block.base, block.batch.size(), &result.assignments);
     }
@@ -377,41 +397,47 @@ cluster::ClusteringResult RunKShapeDriver(
     }
 
     // The solves run side by side: the coordinating thread draws every
-    // cold start in cluster order (the draws Finish(rng) would take,
-    // cluster by cluster), and the k eigenproblems run one per pool task,
-    // each matrix-free matvec fanning out inline on its fixed chunks (a lone
-    // cluster keeps the pool-wide fan-out). A degenerate extraction (all
-    // members zero-norm) keeps the zero centroid as its documented
-    // representative and is surfaced via the result flag.
+    // cold start in accumulator order (the draws Finish(rng) would take, one
+    // accumulator after another), and the eigenproblems run one per pool
+    // task, each matrix-free matvec fanning out inline on its fixed chunks
+    // (a lone accumulator keeps the pool-wide fan-out). A degenerate
+    // extraction (all members zero-norm in every channel) keeps the zero
+    // centroid as its documented representative and is surfaced via the
+    // result flag.
     {
       // No sampled member is not evidence the cluster is empty: such a
       // cluster keeps its previous centroid instead of being
       // degenerate-zeroed, and solves nothing (so draws nothing).
-      std::vector<char> solve(k);
-      std::vector<std::vector<double>> cold_starts(k);
-      for (int j = 0; j < k; ++j) {
-        solve[j] = rows.all || accumulators[j].members_added() > 0;
-        if (solve[j]) {
-          cold_starts[j] =
-              accumulators[j].DrawColdStart(rng, options.shape_options);
+      const std::size_t count = accumulators.size();
+      std::vector<char> solved(k);
+      std::vector<std::vector<double>> cold_starts(count);
+      for (std::size_t a = 0; a < count; ++a) {
+        solved[a / d] = rows.all || accumulators[a].members_added() > 0;
+        if (solved[a / d]) {
+          cold_starts[a] =
+              accumulators[a].DrawColdStart(rng, options.shape_options);
         }
       }
-      std::vector<ExtractedShape> extracted(k);
-      common::ParallelFor(0, static_cast<std::size_t>(k), 1,
+      std::vector<ExtractedShape> extracted(count);
+      common::ParallelFor(0, count, 1,
                           [&](std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          if (!solve[j]) continue;
-          extracted[j] =
-              accumulators[j].Finish(cold_starts[j], options.shape_options);
+        for (std::size_t a = begin; a < end; ++a) {
+          if (!solved[a / d]) continue;
+          extracted[a] =
+              accumulators[a].Finish(cold_starts[a], options.shape_options);
         }
       });
       result.degenerate_centroids = 0;
       for (int j = 0; j < k; ++j) {
-        if (!solve[j]) continue;
-        result.centroids[j] = std::move(extracted[j].centroid);
-        if (extracted[j].degenerate && accumulators[j].members_added() > 0) {
-          ++result.degenerate_centroids;
+        if (!solved[j]) continue;
+        bool degenerate = accumulators[j * d].members_added() > 0;
+        for (std::size_t c = 0; c < d; ++c) {
+          const ExtractedShape& shape = extracted[j * d + c];
+          std::copy(shape.centroid.begin(), shape.centroid.end(),
+                    result.centroids[j].begin() + c * cm);
+          degenerate = degenerate && shape.degenerate;
         }
+        result.degenerate_centroids += degenerate;
       }
     }
     // Free the solved member pools before the walk stages the next ones.
@@ -427,6 +453,8 @@ cluster::ClusteringResult RunKShapeDriver(
     // block's fill waits for the convergence check, with the block still
     // resident, so a one-block run fills nothing it does not solve.
     assigner.BeginIteration(result.centroids);
+    if (!engines) policy->Prepare(result.centroids);
+    aligned = true;
     const bool next_may_run = iter + 1 < options.max_iterations;
     common::Rng next_rng = *rng;
     RowSet next;

@@ -1,22 +1,29 @@
-// The k-Shape iteration protocol (Algorithm 3), written once.
+// The k-Shape iteration protocol (Algorithm 3), written once for every
+// shape-based clusterer.
 //
-// KShape (one in-memory block) and MiniBatchKShape (one block per shard of a
-// ShardedSeriesStore) are facades over RunKShapeDriver: they differ only in
-// the BlockSource they present. The driver owns everything else —
+// Four facades run on RunKShapeDriver. KShape (one in-memory block) and
+// MiniBatchKShape (one block per shard of a ShardedSeriesStore) differ only
+// in the BlockSource they present; both measure SBD through the blocks'
+// cached-spectrum engines. KShape with a custom assignment distance (or the
+// spectrum cache off), KSC (cluster/ksc.h) and multivariate k-Shape
+// (core/multivariate.h) run the no-engine configuration instead, where one
+// CentroidPolicy supplies the distance, the member alignment and the
+// centroid solve. The driver owns everything else —
 // initialization (random assignment or ++ D² seeding), the per-iteration
 // Assigner protocol (SnapshotCentroids → solve → BeginIteration → one walk
 // over the blocks → RepairEmptyClusters → FinishIteration), shape
-// refinement through one ShapeAccumulator per cluster (each block's members
-// aligned and normalized in one parallel pass, committed in global index
-// order; the clusters' eigenproblems solved side by side), and the
-// mini-batch schedule.
+// refinement through one ShapeAccumulator per cluster and channel (each
+// block's members aligned and normalized in one parallel pass, committed in
+// global index order; the eigenproblems solved side by side), and the
+// mini-batch schedule. A shape-based variant is one more policy, not one
+// more loop.
 //
 // Iteration t's walk visits, in ascending order, every block holding a row
 // that t assigns or t+1 refines, and acquires each once: it assigns the
 // block's rows (AssignBlock, AssignBlockWith or its slice of AssignSample),
 // then fills iteration t+1's accumulators with the same block's members —
-// referenced at the centroids t just solved, aligned with t's queries, over
-// the labels t just wrote. The last block's fill waits for the convergence
+// referenced at the centroids t just solved, aligned with t's queries (or
+// the policy prepared with those centroids), over the labels t just wrote. The last block's fill waits for the convergence
 // check, while that block is still resident. t+1's sample is drawn before
 // the walk from a copy of the rng that is committed only if t+1 runs. Only
 // iteration 0, and an iteration after a repair that reseeded (repair
@@ -36,12 +43,13 @@
 #define KSHAPE_CORE_KSHAPE_DRIVER_H_
 
 #include <cstddef>
+#include <vector>
 
 #include "cluster/algorithm.h"
 #include "common/random.h"
 #include "core/kshape.h"
 #include "core/sbd_engine.h"
-#include "distance/measure.h"
+#include "core/shape_extraction.h"
 #include "tseries/time_series.h"
 
 namespace kshape::core {
@@ -51,8 +59,7 @@ struct SeriesBlock {
   /// The block's rows; row r is global series `base + r`.
   tseries::SeriesBatch batch;
   std::size_t base = 0;
-  /// Cached spectra of `batch`, or null in the no-engine configuration
-  /// (a custom assignment distance, or the spectrum cache turned off).
+  /// Cached spectra of `batch`, or null in the no-engine configuration.
   const SbdEngine* engine = nullptr;
 };
 
@@ -79,6 +86,63 @@ class BlockSource {
   virtual std::size_t BlockOfRow(std::size_t i) const = 0;
 };
 
+/// An in-memory batch as one always-resident block, with an optional engine
+/// over it. Both are views: they must outlive the source.
+class InMemoryBlockSource : public BlockSource {
+ public:
+  InMemoryBlockSource(const tseries::SeriesBatch& series,
+                      const SbdEngine* engine)
+      : series_(series), engine_(engine) {}
+
+  std::size_t size() const override { return series_.size(); }
+  std::size_t length() const override { return series_.length(); }
+  std::size_t num_blocks() const override { return 1; }
+  SeriesBlock Block(std::size_t) override {
+    return SeriesBlock{series_, 0, engine_};
+  }
+  std::size_t BlockOfRow(std::size_t) const override { return 0; }
+
+ private:
+  tseries::SeriesBatch series_;
+  const SbdEngine* engine_;
+};
+
+/// The no-engine configuration: how a centroid measures and aligns a row,
+/// and which centroid solve refines it.
+///
+/// A row may hold several channels of one series: channels() = d cuts a row
+/// of length d·m into d channel-major slices of m. Each cluster then has one
+/// ShapeAccumulator per channel (cluster j, channel c at j·d + c, so cold
+/// starts are drawn cluster by cluster, channel by channel); every channel
+/// of a member takes the member's one shift, and a member aligns whenever
+/// its cluster's whole centroid row is nonzero.
+///
+/// Distance and Shift are called concurrently from pool tasks; Prepare runs
+/// on the coordinating thread, with no other call in flight.
+class CentroidPolicy {
+ public:
+  virtual ~CentroidPolicy() = default;
+
+  /// Channels per row; must divide the row length.
+  virtual std::size_t channels() const { return 1; }
+
+  /// The solve every cluster's accumulators run.
+  virtual CentroidSolve solve() const { return CentroidSolve::kShape; }
+
+  /// Called once per iteration with the centroids just solved, before any
+  /// Distance or Shift call against them, so a policy can cache what it
+  /// reads of them.
+  virtual void Prepare(const std::vector<tseries::Series>& centroids) = 0;
+
+  /// Distance from centroid j to global row i, whose samples are `row`.
+  virtual double Distance(int j, std::size_t i,
+                          tseries::SeriesView row) const = 0;
+
+  /// The shift aligning global row i (samples `row`) toward centroid j,
+  /// |shift| < m. Ignored when centroid j is zero-norm.
+  virtual int Shift(int j, std::size_t i, tseries::SeriesView row) const = 0;
+};
+
 /// The engine configuration every block engine of one run must share, so the
 /// centroid queries the Assigner mints once per iteration are valid against
 /// every block (the SbdEngine::MakeQueryFor interchange contract).
@@ -94,11 +158,12 @@ EngineConfig EngineConfigFor(const KShapeOptions& options);
 
 /// Runs Algorithm 3 over `source`.
 ///
-/// `distance` selects the configuration: null means SBD through the block
+/// `policy` selects the configuration: null means SBD through the block
 /// engines (which must all be non-null, built with EngineConfigFor(options));
-/// non-null means every assignment and repair distance is
-/// distance->Distance(centroid, series), blocks carry no engines, pruning is
-/// off, and ++ seeding uses the direct Sbd().
+/// non-null means every assignment and repair distance, every member shift
+/// and every centroid solve come from the policy, blocks carry no engines,
+/// pruning is off, and ++ seeding (single-channel rows only) uses the direct
+/// Sbd().
 ///
 /// `minibatch` enables the sampled schedule of KShapeOptions::minibatch_size
 /// (engine configuration only); when false the four mini-batch options are
@@ -107,8 +172,7 @@ EngineConfig EngineConfigFor(const KShapeOptions& options);
 /// The result carries no fitted model; the facade attaches it.
 cluster::ClusteringResult RunKShapeDriver(
     BlockSource* source, int k, common::Rng* rng,
-    const KShapeOptions& options, bool minibatch,
-    const distance::DistanceMeasure* distance);
+    const KShapeOptions& options, bool minibatch, CentroidPolicy* policy);
 
 }  // namespace kshape::core
 

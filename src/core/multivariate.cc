@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "common/check.h"
 #include "common/parallel.h"
-#include "cluster/algorithm.h"
 #include "fft/fft.h"
+#include "fft/rfft.h"
 #include "linalg/matrix.h"
 #include "tseries/normalization.h"
 
@@ -43,54 +42,6 @@ MultivariateSeries ShiftAllChannels(const MultivariateSeries& x, int shift) {
     out.channels.push_back(tseries::ShiftWithZeroFill(channel, shift));
   }
   return out;
-}
-
-bool IsZeroNorm(const MultivariateSeries& x) {
-  for (const auto& channel : x.channels) {
-    if (linalg::Norm(channel) > 0.0) return false;
-  }
-  return true;
-}
-
-// Spectrum cache for one multivariate series: the padded forward transform of
-// every channel plus the summed channel energy (the mSBD denominator piece).
-// All channels share one common shift, so the assignment step can sum the
-// per-channel cross-correlations recovered from these spectra — one inverse
-// transform per channel per pair, with no forward transforms in the scan.
-struct ChannelSpectra {
-  std::vector<std::vector<fft::Complex>> spectra;
-  double energy = 0.0;
-};
-
-ChannelSpectra MakeChannelSpectra(const MultivariateSeries& s,
-                                  std::size_t fft_len) {
-  ChannelSpectra out;
-  out.spectra.reserve(s.num_channels());
-  for (const auto& channel : s.channels) {
-    out.spectra.push_back(fft::Spectrum(channel, fft_len));
-    out.energy += linalg::Dot(channel, channel);
-  }
-  return out;
-}
-
-// mSBD from cached spectra; same formula as MultivariateSbd, same epsilon
-// (not bitwise) agreement contract as the univariate SbdEngine.
-double CachedMsbdDistance(const ChannelSpectra& x, const ChannelSpectra& y,
-                          std::size_t m) {
-  const double den = std::sqrt(x.energy * y.energy);
-  if (den == 0.0) return 1.0;
-  static thread_local std::vector<double> cc;
-  static thread_local std::vector<double> total;
-  total.assign(2 * m - 1, 0.0);
-  for (std::size_t c = 0; c < x.spectra.size(); ++c) {
-    fft::CrossCorrelationFromSpectra(x.spectra[c], y.spectra[c], m, &cc);
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += cc[i];
-  }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < total.size(); ++i) {
-    if (total[i] > total[best]) best = i;
-  }
-  return 1.0 - total[best] / den;
 }
 
 }  // namespace
@@ -132,38 +83,68 @@ MultivariateSbdResult MultivariateSbd(const MultivariateSeries& x,
   return result;
 }
 
-MultivariateSeries ExtractMultivariateShape(
-    const std::vector<MultivariateSeries>& members,
-    const MultivariateSeries& reference, common::Rng* rng,
-    const ShapeExtractionOptions& options) {
-  KSHAPE_CHECK(rng != nullptr);
-  const std::size_t d = reference.num_channels();
-  const std::size_t m = reference.length();
+MsbdPolicy::MsbdPolicy(const tseries::SeriesBatch& rows,
+                       std::size_t channels)
+    : d_(channels),
+      m_(rows.length() / channels),
+      rows_(rows.size() * channels, fft::NextPowerOfTwo(2 * m_ - 1)),
+      row_energy_(rows.size(), 0.0),
+      centroids_(0, rows_.fft_len()) {
+  KSHAPE_CHECK(d_ >= 1 && m_ >= 1 && m_ * d_ == rows.length());
+  common::ParallelFor(0, rows.size(), 1,
+                      [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      for (std::size_t c = 0; c < d_; ++c) {
+        const tseries::SeriesView channel = rows[i].subspan(c * m_, m_);
+        rows_.Transform(i * d_ + c, channel);
+        row_energy_[i] += linalg::Dot(channel, channel);
+      }
+    }
+  });
+}
 
-  MultivariateSeries centroid;
-  centroid.channels.assign(d, tseries::Series(m, 0.0));
-  if (members.empty()) return centroid;
-
-  const bool align = !IsZeroNorm(reference);
-
-  // Align each member once with the common shift, then run the univariate
-  // extraction per channel on the aligned copies.
-  std::vector<std::vector<tseries::Series>> per_channel(d);
-  for (const MultivariateSeries& member : members) {
-    CheckCompatible(reference, member);
-    const MultivariateSeries aligned =
-        align ? MultivariateSbd(reference, member).aligned_y : member;
-    for (std::size_t c = 0; c < d; ++c) {
-      per_channel[c].push_back(aligned.channels[c]);
+void MsbdPolicy::Prepare(const std::vector<tseries::Series>& centroids) {
+  centroids_ = fft::BatchSpectra(centroids.size() * d_, rows_.fft_len());
+  centroid_energy_.assign(centroids.size(), 0.0);
+  for (std::size_t j = 0; j < centroids.size(); ++j) {
+    for (std::size_t c = 0; c < d_; ++c) {
+      const tseries::SeriesView channel =
+          tseries::SeriesView(centroids[j]).subspan(c * m_, m_);
+      centroids_.Transform(j * d_ + c, channel);
+      centroid_energy_[j] += linalg::Dot(channel, channel);
     }
   }
-  for (std::size_t c = 0; c < d; ++c) {
-    // Members are pre-aligned; pass a zero reference so the univariate
-    // extraction does not re-shift individual channels.
-    centroid.channels[c] = ExtractShape(per_channel[c],
-                                        tseries::Series(m, 0.0), rng, options);
+}
+
+NccPeak MsbdPolicy::Peak(int j, std::size_t i) const {
+  NccPeak peak;
+  const double den = std::sqrt(centroid_energy_[j] * row_energy_[i]);
+  if (den == 0.0) return peak;
+  // Sum the per-channel cross-correlation sequences: one common shift.
+  static thread_local std::vector<double> cc;
+  static thread_local std::vector<double> total;
+  total.assign(2 * m_ - 1, 0.0);
+  for (std::size_t c = 0; c < d_; ++c) {
+    fft::CrossCorrelationFromRfft(rows_.plan(), centroids_.view(j * d_ + c),
+                                  rows_.view(i * d_ + c), m_, &cc);
+    for (std::size_t t = 0; t < total.size(); ++t) total[t] += cc[t];
   }
-  return centroid;
+  std::size_t best = 0;
+  for (std::size_t t = 1; t < total.size(); ++t) {
+    if (total[t] > total[best]) best = t;
+  }
+  peak.value = total[best] / den;
+  peak.shift = static_cast<int>(best) - static_cast<int>(m_ - 1);
+  return peak;
+}
+
+double MsbdPolicy::Distance(int j, std::size_t i,
+                            tseries::SeriesView) const {
+  return 1.0 - Peak(j, i).value;
+}
+
+int MsbdPolicy::Shift(int j, std::size_t i, tseries::SeriesView) const {
+  return Peak(j, i).shift;
 }
 
 MultivariateKShape::MultivariateKShape(MultivariateKShapeOptions options)
@@ -177,98 +158,45 @@ MultivariateClusteringResult MultivariateKShape::Cluster(
   KSHAPE_CHECK(!series.empty());
   KSHAPE_CHECK(k >= 1 && static_cast<std::size_t>(k) <= series.size());
   KSHAPE_CHECK(rng != nullptr);
-  const std::size_t n = series.size();
   const std::size_t d = series[0].num_channels();
   const std::size_t m = series[0].length();
   for (const auto& s : series) CheckCompatible(series[0], s);
 
+  // One row per series, channels end to end.
+  tseries::SeriesStore packed;
+  packed.Reserve(series.size(), d * m);
+  tseries::Series row(d * m);
+  for (const MultivariateSeries& s : series) {
+    for (std::size_t c = 0; c < d; ++c) {
+      std::copy(s.channels[c].begin(), s.channels[c].end(),
+                row.begin() + c * m);
+    }
+    packed.Append(row);
+  }
+
+  KShapeOptions options;
+  options.max_iterations = options_.max_iterations;
+  options.shape_options = options_.shape_options;
+  options.shape_options.warm_start = false;
+  MsbdPolicy policy(packed, d);
+  InMemoryBlockSource source(packed, /*engine=*/nullptr);
+  cluster::ClusteringResult fit = RunKShapeDriver(
+      &source, k, rng, options, /*minibatch=*/false, &policy);
+
   MultivariateClusteringResult result;
-  result.assignments = cluster::RandomAssignments(n, k, rng);
-  MultivariateSeries zero;
-  zero.channels.assign(d, tseries::Series(m, 0.0));
-  result.centroids.assign(k, zero);
-
-  // Spectrum cache: each series' channel spectra are computed once per call
-  // in a deterministic disjoint-write pre-pass; centroid spectra are
-  // refreshed once per iteration below.
-  const bool cached = options_.use_spectrum_cache && m >= 1;
-  const std::size_t fft_len = cached ? fft::NextPowerOfTwo(2 * m - 1) : 0;
-  std::vector<ChannelSpectra> series_cache;
-  if (cached) {
-    series_cache.resize(n);
-    common::ParallelFor(0, n, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        series_cache[i] = MakeChannelSpectra(series[i], fft_len);
-      }
-    });
+  result.assignments = std::move(fit.assignments);
+  for (const tseries::Series& centroid : fit.centroids) {
+    MultivariateSeries unpacked;
+    for (std::size_t c = 0; c < d; ++c) {
+      unpacked.channels.emplace_back(centroid.begin() + c * m,
+                                     centroid.begin() + (c + 1) * m);
+    }
+    result.centroids.push_back(std::move(unpacked));
   }
-  std::vector<ChannelSpectra> centroid_cache;
-
-  auto assignment_distance = [&](int j, std::size_t i) {
-    if (cached) return CachedMsbdDistance(centroid_cache[j], series_cache[i], m);
-    return MultivariateSbd(result.centroids[j], series[i]).distance;
-  };
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    const std::vector<int> previous = result.assignments;
-
-    // Refinement.
-    const auto groups = cluster::GroupByCluster(result.assignments, k);
-    for (int j = 0; j < k; ++j) {
-      std::vector<MultivariateSeries> members;
-      members.reserve(groups[j].size());
-      for (std::size_t idx : groups[j]) members.push_back(series[idx]);
-      result.centroids[j] = ExtractMultivariateShape(
-          members, result.centroids[j], rng, options_.shape_options);
-    }
-    if (cached) {
-      // k*d forward transforms per iteration; every centroid-to-series
-      // distance below reuses them as d inverse transforms.
-      centroid_cache.clear();
-      for (int j = 0; j < k; ++j) {
-        centroid_cache.push_back(
-            MakeChannelSpectra(result.centroids[j], fft_len));
-      }
-    }
-
-    // Assignment. Same disjoint-write pattern as univariate k-Shape, so the
-    // result is thread-count-invariant.
-    common::ParallelFor(0, n, 16, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) {
-        double min_dist = std::numeric_limits<double>::infinity();
-        int best = result.assignments[i];
-        for (int j = 0; j < k; ++j) {
-          const double dist = assignment_distance(j, i);
-          if (dist < min_dist) {
-            min_dist = dist;
-            best = j;
-          }
-        }
-        result.assignments[i] = best;
-      }
-    });
-
-    // Re-seed empty clusters from the farthest member of populated ones
-    // (shared policy — see RepairEmptyClusters for the tie-break contract).
-    result.empty_cluster_reseeds += cluster::RepairEmptyClusters(
-        k, &result.assignments, assignment_distance);
-
-    result.iterations = iter + 1;
-    if (result.assignments == previous) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  // Flag final centroids that collapsed to zero norm in every channel while
-  // still holding members (all-constant clusters).
-  std::vector<std::size_t> sizes(k, 0);
-  for (int a : result.assignments) ++sizes[a];
-  for (int j = 0; j < k; ++j) {
-    if (sizes[j] > 0 && IsZeroNorm(result.centroids[j])) {
-      ++result.degenerate_centroids;
-    }
-  }
+  result.iterations = fit.iterations;
+  result.converged = fit.converged;
+  result.empty_cluster_reseeds = fit.empty_cluster_reseeds;
+  result.degenerate_centroids = fit.degenerate_centroids;
   return result;
 }
 

@@ -6,7 +6,10 @@
 
 #include "common/random.h"
 #include "common/status.h"
+#include "core/kshape_driver.h"
+#include "core/sbd.h"
 #include "core/shape_extraction.h"
+#include "fft/rfft.h"
 #include "tseries/time_series.h"
 
 namespace kshape::core {
@@ -46,13 +49,36 @@ struct MultivariateSbdResult {
 MultivariateSbdResult MultivariateSbd(const MultivariateSeries& x,
                                       const MultivariateSeries& y);
 
-/// Multivariate shape extraction: members are aligned to the reference with
-/// the common mSBD shift, then each channel's centroid is extracted with the
-/// univariate Algorithm 2. An all-zero reference skips alignment.
-MultivariateSeries ExtractMultivariateShape(
-    const std::vector<MultivariateSeries>& members,
-    const MultivariateSeries& reference, common::Rng* rng,
-    const ShapeExtractionOptions& options = {});
+/// mSBD as the k-Shape driver's policy, over a corpus packed one series per
+/// row: the d channels of m samples laid end to end (channel-major, row
+/// length d·m). Every row's per-channel half spectra (fft::RfftForward at
+/// NextPowerOfTwo(2m−1)) and summed energy are cached at construction, each
+/// centroid's in Prepare, so a distance or shift is d inverse transforms:
+/// the per-channel cross-correlations are summed before one peak scan. The
+/// result agrees with MultivariateSbd (the direct reference) to rounding;
+/// the shift can differ only where two lags' summed NCC nearly tie.
+class MsbdPolicy : public CentroidPolicy {
+ public:
+  MsbdPolicy(const tseries::SeriesBatch& rows, std::size_t channels);
+
+  std::size_t channels() const override { return d_; }
+  void Prepare(const std::vector<tseries::Series>& centroids) override;
+  double Distance(int j, std::size_t i,
+                  tseries::SeriesView row) const override;
+  int Shift(int j, std::size_t i, tseries::SeriesView row) const override;
+
+ private:
+  // The summed NCC peak of centroid j against row i and its common shift
+  // (value 0 at shift 0 when either is zero-norm).
+  NccPeak Peak(int j, std::size_t i) const;
+
+  std::size_t d_;
+  std::size_t m_;  // channel length
+  fft::BatchSpectra rows_;       // channel c of row i at slot i·d + c
+  std::vector<double> row_energy_;
+  fft::BatchSpectra centroids_;  // channel c of centroid j at slot j·d + c
+  std::vector<double> centroid_energy_;
+};
 
 /// Output of MultivariateKShape.
 struct MultivariateClusteringResult {
@@ -62,8 +88,8 @@ struct MultivariateClusteringResult {
   bool converged = false;
 
   /// Repair telemetry, mirroring cluster::ClusteringResult: empty-cluster
-  /// re-seeds across all iterations, and final centroids whose every channel
-  /// is zero-norm while the cluster holds members.
+  /// re-seeds across all iterations, and centroids of the last refinement
+  /// whose every channel came out zero-norm from a non-empty member set.
   int empty_cluster_reseeds = 0;
   int degenerate_centroids = 0;
 };
@@ -78,20 +104,17 @@ common::Status ValidateMultivariateInputs(
 /// Options for multivariate k-Shape.
 struct MultivariateKShapeOptions {
   int max_iterations = 100;
-  ShapeExtractionOptions shape_options;
 
-  /// When true (default), Cluster() caches every channel's forward spectrum
-  /// once per call (and every centroid channel's once per iteration), so each
-  /// mSBD assignment distance is d inverse transforms instead of d packed
-  /// forward + inverse pairs. Cached distances agree with MultivariateSbd()
-  /// within a tight tolerance (not bitwise — see core/sbd_engine.h for the
-  /// contract); the cached pipeline itself is thread-count-invariant. False
-  /// forces per-pair MultivariateSbd(), kept for ablation.
-  bool use_spectrum_cache = true;
+  /// The per-channel shape extraction. `warm_start` is ignored: every
+  /// channel's solve starts cold.
+  ShapeExtractionOptions shape_options;
 };
 
 /// k-Shape over multivariate series: Algorithm 3 with mSBD assignments and
-/// per-channel shape extraction refinement.
+/// per-channel shape extraction refinement, every channel of a member
+/// shifted by its one mSBD shift. A facade over the k-Shape driver
+/// (core/kshape_driver.h): the corpus is packed one series per row and run
+/// with an MsbdPolicy.
 class MultivariateKShape {
  public:
   explicit MultivariateKShape(MultivariateKShapeOptions options = {});

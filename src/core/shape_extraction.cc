@@ -51,15 +51,21 @@ void CenterGramInPlace(linalg::Matrix* s_ptr) {
 }  // namespace
 
 ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
-                                   const ShapeExtractionOptions& options)
+                                   const ShapeExtractionOptions& options,
+                                   CentroidSolve solve)
+    : ShapeAccumulator(reference, options, solve,
+                       linalg::Norm(reference) > 0.0) {}
+
+ShapeAccumulator::ShapeAccumulator(tseries::SeriesView reference,
+                                   const ShapeExtractionOptions& options,
+                                   CentroidSolve solve, bool align)
     : reference_(reference.begin(), reference.end()),
-      align_(linalg::Norm(reference) > 0.0),
+      solve_(solve),
+      align_(align),
       pool_mode_(options.use_matrix_free && options.use_power_iteration),
-      max_pool_rows_(options.matrix_free_max_members),
       mean_(reference.size(), 0.0) {
   KSHAPE_CHECK_MSG(!reference_.empty(), "empty shape-extraction reference");
-  // The whole point of pool mode is that the m×m Gram is never allocated;
-  // s_ stays 0x0 until a max-members spill (if any).
+  // The whole point of pool mode is that the m×m Gram is never allocated.
   if (!pool_mode_) {
     s_ = linalg::Matrix(reference.size(), reference.size());
   }
@@ -107,17 +113,25 @@ void ShapeAccumulator::Fill(std::size_t slot, tseries::SeriesView member,
     std::fill(row.begin(), row.begin() + gap, 0.0);
     std::copy(member.begin(), member.end() - gap, row.begin() + gap);
   }
-  // Members that z-normalize to the zero series (constant after alignment)
-  // are flagged here and skipped by Commit, so a fully degenerate member set
-  // can be detected instead of feeding the zero matrix to the eigensolver,
-  // which would return an arbitrary start vector.
-  tseries::ZNormalizeInPlace(row);
-  slots_[slot] = linalg::Norm(row) == 0.0 ? kZeroRow : kRow;
+  // Members that normalize to the zero series (constant after alignment
+  // under z-normalization, zero under unit scaling) are flagged here and
+  // skipped by Commit, so a fully degenerate member set can be detected
+  // instead of feeding the zero matrix to the eigensolver, which would
+  // return an arbitrary start vector.
+  if (solve_ == CentroidSolve::kShape) {
+    tseries::ZNormalizeInPlace(row);
+    slots_[slot] = linalg::Norm(row) == 0.0 ? kZeroRow : kRow;
+    return;
+  }
+  // KSC: Σ ŝŝᵀ over ŝ = b·(1/√(b·b)) is Σ bbᵀ/(bᵀb) to rounding.
+  const double norm_sq = linalg::Dot(row, row);
+  if (norm_sq > 0.0) linalg::Scale(row, 1.0 / std::sqrt(norm_sq));
+  slots_[slot] = norm_sq == 0.0 ? kZeroRow : kRow;
 }
 
 void ShapeAccumulator::Commit() {
   const std::size_t m = reference_.size();
-  // Accumulate S = sum_i y_i y_i^T over the aligned, z-normalized members —
+  // Accumulate S = sum_i y_i y_i^T over the aligned, normalized members —
   // as an explicit Gram in Gram mode, as pooled rows in matrix-free mode.
   // Slot s was built at row base + s; pooled rows compact down over the
   // zero-norm slots, so the pool ends up holding exactly the contributing
@@ -133,9 +147,6 @@ void ShapeAccumulator::Commit() {
       if (pooled != row) std::copy(row, row + m, pooled);
       row = pooled;
       ++pool_rows_;
-      if (max_pool_rows_ > 0 && pool_rows_ > max_pool_rows_) {
-        SpillPoolToGram();
-      }
     } else {
       // Upper triangle only (S is symmetric); mirrored once in Finish at
       // half the accumulation cost, bit-identical to the full outer
@@ -149,41 +160,39 @@ void ShapeAccumulator::Commit() {
   if (pool_mode_) {
     rows_.resize(pool_rows_ * m);
   } else if (rows_.size() > m) {
-    // Gram mode keeps one row of capacity for Add(); a multi-row stage or a
-    // spilled pool gives its memory back.
+    // Gram mode keeps one row of capacity for Add(); a multi-row stage gives
+    // its memory back.
     std::vector<double>().swap(rows_);
   } else {
     rows_.clear();
   }
 }
 
-void ShapeAccumulator::SpillPoolToGram() {
+linalg::Matrix ShapeAccumulator::SolveMatrix() const {
   const std::size_t m = reference_.size();
-  s_ = linalg::Matrix(m, m);
-  for (std::size_t r = 0; r < pool_rows_; ++r) {
-    s_.AddSymmetricOuterProduct(
-        tseries::SeriesView(rows_.data() + r * m, m));
-  }
-  pool_rows_ = 0;
-  pool_mode_ = false;
-}
-
-linalg::Matrix ShapeAccumulator::MirroredGram() const {
-  if (!pool_mode_) {
-    linalg::Matrix s = s_;
-    s.MirrorUpperToLower();
-    return s;
-  }
   // Crossover (small cluster) or eigensolver fallback: fold the pooled rows
   // into the Gram they would have accumulated — same rows, same order, so
-  // the result is bit-identical to Gram mode on this member sequence.
-  const std::size_t m = reference_.size();
-  linalg::Matrix s(m, m);
+  // the result is bit-identical to Gram mode on this member sequence. Gram
+  // mode pools no rows.
+  linalg::Matrix s = pool_mode_ ? linalg::Matrix(m, m) : s_;
   for (std::size_t r = 0; r < pool_rows_; ++r) {
     s.AddSymmetricOuterProduct(tseries::SeriesView(rows_.data() + r * m, m));
   }
   s.MirrorUpperToLower();
+  if (solve_ == CentroidSolve::kShape) CenterGramInPlace(&s);
   return s;
+}
+
+ExtractedShape ShapeAccumulator::Orient(std::vector<double> centroid) const {
+  // An eigenvector's sign is arbitrary; pick the orientation that correlates
+  // positively with the cluster mean so centroids look like the data.
+  if (linalg::Dot(centroid, mean_) < 0.0) {
+    linalg::Scale(&centroid, -1.0);
+  }
+  if (solve_ == CentroidSolve::kShape) tseries::ZNormalizeInPlace(&centroid);
+  ExtractedShape result;
+  result.centroid = std::move(centroid);
+  return result;
 }
 
 std::vector<double> ShapeAccumulator::DrawColdStart(
@@ -243,28 +252,14 @@ ExtractedShape ShapeAccumulator::FinishDense(
     const std::vector<double>& cold_start,
     const ShapeExtractionOptions& options) const {
   const std::size_t m = reference_.size();
-  linalg::Matrix centered = MirroredGram();
-  CenterGramInPlace(&centered);
-
-  std::vector<double> centroid;
+  const linalg::Matrix matrix = SolveMatrix();
   if (options.use_power_iteration) {
-    centroid = linalg::DominantEigenvector(
-        centered, /*rng=*/nullptr, /*max_iters=*/200, /*tol=*/1e-10,
-        /*eigenvalue=*/nullptr, &StartVector(cold_start, options));
-  } else {
-    const linalg::EigenDecomposition decomp = linalg::SymmetricEigen(centered);
-    centroid = decomp.eigenvectors.ColVector(m - 1);  // Largest eigenvalue.
+    return Orient(linalg::DominantEigenvector(
+        matrix, /*rng=*/nullptr, /*max_iters=*/200, /*tol=*/1e-10,
+        /*eigenvalue=*/nullptr, &StartVector(cold_start, options)));
   }
-
-  // An eigenvector's sign is arbitrary; pick the orientation that correlates
-  // positively with the cluster mean so centroids look like the data.
-  if (linalg::Dot(centroid, mean_) < 0.0) {
-    linalg::Scale(&centroid, -1.0);
-  }
-  tseries::ZNormalizeInPlace(&centroid);
-  ExtractedShape result;
-  result.centroid = std::move(centroid);
-  return result;
+  const linalg::EigenDecomposition decomp = linalg::SymmetricEigen(matrix);
+  return Orient(decomp.eigenvectors.ColVector(m - 1));  // Largest eigenvalue.
 }
 
 ExtractedShape ShapeAccumulator::FinishMatrixFree(
@@ -273,40 +268,33 @@ ExtractedShape ShapeAccumulator::FinishMatrixFree(
   const std::size_t m = reference_.size();
   // M·v = Q(S(Qv)) with Qv = v − mean(v)·1 (rank-one centering) and
   // S(u) = Σ yᵢ(yᵢ·u) applied row-wise over the pooled members: O(n_c·m)
-  // per power step, the Gram never formed. The pool holds exactly the
-  // non-degenerate aligned rows, so S here is the same sum the Gram path
-  // accumulates (up to summation order — the epsilon-level difference the
-  // matrix-free equivalence tests allow for).
+  // per power step, the Gram never formed (the KSC solve applies S alone).
+  // The pool holds exactly the non-degenerate aligned rows, so S here is the
+  // same sum the Gram path accumulates (up to summation order — the
+  // epsilon-level difference the matrix-free equivalence tests allow for).
   linalg::RowPoolMatVec pool_op(rows_.data(), pool_rows_, m);
   std::vector<double> centered(m);
   const linalg::MatVecFn matvec = [&](const std::vector<double>& v,
                                       std::vector<double>* out) {
+    if (solve_ == CentroidSolve::kKsc) {
+      pool_op.Apply(v, *out);
+      return;
+    }
     const double v_mean = simd::Sum(v) / static_cast<double>(m);
     for (std::size_t j = 0; j < m; ++j) centered[j] = v[j] - v_mean;
     pool_op.Apply(centered, *out);
     const double w_mean = simd::Sum(*out) / static_cast<double>(m);
     for (double& x : *out) x -= w_mean;
   };
-  // The O(m³) stall fallback needs the dense centered matrix; materialize it
-  // lazily from the pool — at most once per cold extraction (warm starts
-  // never reach it, per the eigensolver's stall contract).
-  const linalg::MaterializeFn materialize = [&]() {
-    linalg::Matrix s = MirroredGram();
-    CenterGramInPlace(&s);
-    return s;
-  };
+  // The O(m³) stall fallback needs the dense matrix; materialize it lazily
+  // from the pool — at most once per cold extraction (warm starts never
+  // reach it, per the eigensolver's stall contract).
+  const linalg::MaterializeFn materialize = [&]() { return SolveMatrix(); };
 
-  std::vector<double> centroid = linalg::DominantEigenvectorOp(
+  return Orient(linalg::DominantEigenvectorOp(
       m, matvec, materialize, /*rng=*/nullptr, /*max_iters=*/200,
-      /*tol=*/1e-10, /*eigenvalue=*/nullptr, &StartVector(cold_start, options));
-
-  if (linalg::Dot(centroid, mean_) < 0.0) {
-    linalg::Scale(&centroid, -1.0);
-  }
-  tseries::ZNormalizeInPlace(&centroid);
-  ExtractedShape result;
-  result.centroid = std::move(centroid);
-  return result;
+      /*tol=*/1e-10, /*eigenvalue=*/nullptr,
+      &StartVector(cold_start, options)));
 }
 
 tseries::Series ExtractShape(const tseries::SeriesBatch& members,

@@ -10,6 +10,17 @@
 
 namespace kshape::core {
 
+/// The centroid a ShapeAccumulator solves for.
+enum class CentroidSolve {
+  /// k-Shape (Algorithm 2): z-normalized aligned members, the dominant
+  /// eigenvector of the centered M = Q·S·Q, z-normalized.
+  kShape,
+  /// KSC (Yang & Leskovec; §2.5): members unit-scaled, ŝ = b·(1/√(b·b)),
+  /// the dominant eigenvector of the uncentered P = Σ ŝŝᵀ — the minimizer of
+  /// the summed normalized residuals — left at unit norm.
+  kKsc,
+};
+
 /// Options for ExtractShape.
 struct ShapeExtractionOptions {
   /// When true, use O(n^2)-per-step power iteration for the dominant
@@ -40,7 +51,7 @@ struct ShapeExtractionOptions {
   /// the extraction phase. The matrix-free and Gram paths agree to epsilon
   /// (different summation order), not bitwise; end-to-end labels match in
   /// practice (pinned by the on-vs-off equivalence tests). False keeps the
-  /// dense Gram path, bit-identically to the crossover and spill below. Only
+  /// dense Gram path, bit-identically to the crossover below. Only
   /// applies on the power-iteration path — the full-eigensolver ablation
   /// needs the dense matrix regardless.
   bool use_matrix_free = true;
@@ -51,15 +62,6 @@ struct ShapeExtractionOptions {
   /// pool bookkeeping cost more than the small Gram they avoid; the default
   /// comes from bench/shape_extraction sweeps.
   std::size_t matrix_free_min_members = 8;
-
-  /// Memory bound for the matrix-free member pool, in rows; 0 = unbounded.
-  /// When an accumulator exceeds it, the pooled rows are folded into the
-  /// Gram matrix (same rows, same order — bit-identical to having
-  /// accumulated the Gram from the start) and the pool is released, so
-  /// extraction memory never exceeds max(m², cap·m) per cluster. The
-  /// out-of-core driver sets this from its shard-residency budget; in-memory
-  /// callers leave it unbounded (the pool is at most the corpus itself).
-  std::size_t matrix_free_max_members = 0;
 };
 
 /// Shape extraction, Algorithm 2 of the paper.
@@ -120,13 +122,17 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
 ///
 /// Storage mode is fixed at construction from the options. In matrix-free
 /// mode the accumulator stores the
-/// aligned z-normalized members in a contiguous row-major pool (the m×m Gram
+/// aligned, normalized members in a contiguous row-major pool (the m×m Gram
 /// is never allocated) and Finish power-iterates through
 /// linalg::DominantEigenvectorOp with a deterministic fan-out over member
 /// blocks (linalg::RowPoolMatVec) — bit-identical at any thread count and
 /// across SIMD backends, epsilon-equal to the Gram path. Small member sets
-/// (below matrix_free_min_members) and pools exceeding
-/// matrix_free_max_members cross back to the Gram path bit-identically.
+/// (below matrix_free_min_members) cross back to the Gram path
+/// bit-identically.
+///
+/// The centroid solve is fixed at construction (CentroidSolve): k-Shape's
+/// Algorithm 2 by default, or the KSC centroid, which pools unit-scaled
+/// rows and takes the dominant eigenvector of the uncentered Σ ŝŝᵀ.
 ///
 /// Alignment: each member is shifted toward the reference by its optimal
 /// SBD shift before it is pooled or folded. Add(member) finds that shift
@@ -138,13 +144,11 @@ ExtractedShape ExtractShapeFlagged(const tseries::SeriesBatch& members,
 ///
 /// Members enter in two steps, one row builder: Stage(count) opens `count`
 /// slots (in pool mode, rows appended to the pool), Fill() builds each
-/// slot's aligned z-normalized row and zero-norm flag, and Commit() folds
+/// slot's aligned, normalized row and zero-norm flag, and Commit() folds
 /// the slots in slot order — compacting zero-norm rows out of the pool,
-/// accumulating the mean, and folding rows into the Gram in Gram mode or
-/// across the max-members spill. Add() is the one-slot case, so a staged
-/// member sequence solves to the bits of Add() of the same members in slot
-/// order. The rows of one open stage live next to the pool until Commit, so
-/// a capped pool transiently holds cap + count rows.
+/// accumulating the mean, and folding rows into the Gram in Gram mode.
+/// Add() is the one-slot case, so a staged member sequence solves to the
+/// bits of Add() of the same members in slot order.
 ///
 /// Usage: construct with the alignment reference (the previous centroid; the
 /// reference is copied, so the view may die immediately) and the same options
@@ -164,7 +168,16 @@ class ShapeAccumulator {
   /// as in ExtractShape. `options` selects the storage mode (matrix-free
   /// pool vs dense Gram).
   explicit ShapeAccumulator(tseries::SeriesView reference,
-                            const ShapeExtractionOptions& options = {});
+                            const ShapeExtractionOptions& options = {},
+                            CentroidSolve solve = CentroidSolve::kShape);
+
+  /// As above, with alignment on exactly when `align` is: for one channel of
+  /// a multichannel centroid, whose members align whenever the whole
+  /// centroid is nonzero (a zero channel of a nonzero centroid still takes
+  /// the members' common shift).
+  ShapeAccumulator(tseries::SeriesView reference,
+                   const ShapeExtractionOptions& options, CentroidSolve solve,
+                   bool align);
 
   /// Folds one member into the running state (pooled row or Gram update,
   /// plus the mean), aligned by the direct Sbd(reference, member) shift.
@@ -188,9 +201,10 @@ class ShapeAccumulator {
 
   /// Builds slot `slot` of the open stage: `member` shifted toward the
   /// reference by `shift` with zero fill (Equation 5; a zero-norm reference
-  /// ignores the shift), z-normalized, and flagged when the result is the
-  /// zero series. Requires |shift| < m and slot < the staged count. Safe to
-  /// call concurrently for distinct slots.
+  /// ignores the shift), normalized (z-normalized, or unit-scaled for the
+  /// KSC solve), and flagged when the result is the zero series. Requires
+  /// |shift| < m and slot < the staged count. Safe to call concurrently for
+  /// distinct slots.
   void Fill(std::size_t slot, tseries::SeriesView member, int shift);
 
   /// Fill() with the direct Sbd(reference, member) shift, as Add(member).
@@ -204,7 +218,7 @@ class ShapeAccumulator {
   std::size_t members_added() const { return added_; }
 
   /// True while members are pooled for the matrix-free eigenproblem (no Gram
-  /// allocated); false in Gram mode, including after a max-members spill.
+  /// allocated); false in Gram mode.
   bool matrix_free_active() const { return pool_mode_; }
 
   /// Solves the eigenproblem over everything committed so far. Leaves the
@@ -234,15 +248,15 @@ class ShapeAccumulator {
   // Slot states of the open stage.
   enum SlotState : unsigned char { kUnfilled, kRow, kZeroRow };
 
-  // Folds the pooled rows into the Gram and leaves pool mode (the
-  // matrix_free_max_members bound). Bit-identical to having accumulated the
-  // Gram from the first Add. The row buffer is released by Commit.
-  void SpillPoolToGram();
+  // The eigenproblem's dense matrix: the symmetric Gram S = Σ yᵢyᵢᵀ,
+  // mirrored to both triangles — from s_ in Gram mode, or folded on the fly
+  // from the pool (same rows, same order) on the matrix-free
+  // crossover/fallback — then centered (Q·S·Q) for the k-Shape solve.
+  linalg::Matrix SolveMatrix() const;
 
-  // The symmetric Gram S = Σ yᵢyᵢᵀ, mirrored to both triangles — from s_ in
-  // Gram mode, or folded on the fly from the pool (same rows, same order) on
-  // the matrix-free crossover/fallback.
-  linalg::Matrix MirroredGram() const;
+  // The solved eigenvector oriented to correlate positively with the
+  // members' mean, z-normalized for the k-Shape solve.
+  ExtractedShape Orient(std::vector<double> centroid) const;
 
   // True when the solve starts from the reference (the previous centroid).
   bool WarmStarts(const ShapeExtractionOptions& options) const {
@@ -260,12 +274,12 @@ class ShapeAccumulator {
                                   const ShapeExtractionOptions& options) const;
 
   tseries::Series reference_;
+  CentroidSolve solve_ = CentroidSolve::kShape;
   bool align_ = false;
   bool pool_mode_ = false;
-  std::size_t max_pool_rows_ = 0;
   linalg::Matrix s_;  // Gram upper triangle; 0x0 in pool mode.
   // Row storage, m doubles per row: in pool mode the pool_rows_ aligned
-  // z-normalized members followed by the open stage; in Gram mode the open
+  // normalized members followed by the open stage; in Gram mode the open
   // stage alone.
   std::vector<double> rows_;
   std::size_t pool_rows_ = 0;

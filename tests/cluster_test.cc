@@ -413,8 +413,8 @@ class HalfSpectrumGateGuard {
 };
 
 TEST(KscTest, ClusterIgnoresTheSpectrumLayoutGate) {
-  // use_fft_alignment is KSC's only alignment switch: the spectrum-layout
-  // gate must not silently swap in the O(m^2) time-domain arithmetic, whose
+  // KSC always aligns through KscAlignFft: the spectrum-layout gate must
+  // not silently swap in the O(m^2) time-domain arithmetic, whose
   // tie-breaks differ from the FFT path's on inputs like these.
   HalfSpectrumGateGuard guard;
   const Ksc ksc;

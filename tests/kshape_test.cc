@@ -279,7 +279,7 @@ TEST(KShapeDriverDeathTest, CorpusBeyondIntRangeAborts) {
     KShapeOptions options;
     options.init = init;
     EXPECT_DEATH(RunKShapeDriver(&source, 2, &rng, options,
-                                 /*minibatch=*/false, /*distance=*/nullptr),
+                                 /*minibatch=*/false, /*policy=*/nullptr),
                  "corpus exceeds INT_MAX series");
   }
 }

@@ -117,30 +117,32 @@ TEST(MultivariateSbdTest, ZeroNormGivesDistanceOne) {
   EXPECT_DOUBLE_EQ(MultivariateSbd(x, zero).distance, 1.0);
 }
 
-TEST(ExtractMultivariateShapeTest, IdenticalMembersGiveTheSharedShape) {
+TEST(MultivariateKShapeTest, IdenticalMembersGiveTheSharedShape) {
   common::Rng rng(5);
-  MultivariateSeries base = PhasedPair(2.0, 64, &rng, 0.0);
+  const MultivariateSeries base = PhasedPair(2.0, 64, &rng, 0.0);
   const std::vector<MultivariateSeries> members = {base, base, base};
-  MultivariateSeries zero;
-  zero.channels.assign(2, Series(64, 0.0));
-  const MultivariateSeries centroid =
-      ExtractMultivariateShape(members, zero, &rng);
+  const MultivariateClusteringResult result =
+      MultivariateKShape().Cluster(members, 1, &rng);
+  ASSERT_EQ(result.centroids.size(), 1u);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_NEAR(Sbd(base.channels[c], centroid.channels[c]).distance, 0.0,
-                1e-6);
+    EXPECT_NEAR(
+        Sbd(base.channels[c], result.centroids[0].channels[c]).distance, 0.0,
+        1e-6);
   }
+  EXPECT_EQ(result.degenerate_centroids, 0);
 }
 
-TEST(ExtractMultivariateShapeTest, EmptyClusterGivesZeros) {
+TEST(MultivariateKShapeTest, AllZeroClusterGivesZeroCentroid) {
   common::Rng rng(6);
-  MultivariateSeries reference;
-  reference.channels.assign(3, Series(16, 0.0));
-  const MultivariateSeries centroid =
-      ExtractMultivariateShape({}, reference, &rng);
-  ASSERT_EQ(centroid.num_channels(), 3u);
-  for (const auto& channel : centroid.channels) {
+  MultivariateSeries zero;
+  zero.channels.assign(3, Series(16, 0.0));
+  const MultivariateClusteringResult result =
+      MultivariateKShape().Cluster({zero, zero}, 1, &rng);
+  ASSERT_EQ(result.centroids[0].num_channels(), 3u);
+  for (const auto& channel : result.centroids[0].channels) {
     for (double v : channel) EXPECT_DOUBLE_EQ(v, 0.0);
   }
+  EXPECT_EQ(result.degenerate_centroids, 1);
 }
 
 TEST(MultivariateKShapeTest, RecoversTwoPhasedClasses) {

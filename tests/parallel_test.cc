@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "classify/nearest_neighbor.h"
+#include "cluster/ksc.h"
 #include "cluster/kmedoids.h"
 #include "common/parallel.h"
 #include "common/random.h"
@@ -157,6 +158,25 @@ TEST(ParallelInvarianceTest, KShapeFullRunWithoutSpectrumCache) {
       ResultsBitIdentical, "k-Shape (no spectrum cache)");
 }
 
+TEST(ParallelInvarianceTest, KscFullRun) {
+  // KSC on the k-Shape driver: the parallel assignment scan, member pass and
+  // side-by-side solves over KscAlignFft distances and shifts. Rows are
+  // rescaled (KSC is scale-invariant) and two are zero.
+  std::vector<Series> series = MakeSeries(36, 64, 5);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    for (double& v : series[i]) v *= 0.5 + 0.25 * static_cast<double>(i % 5);
+  }
+  series[4].assign(64, 0.0);
+  series[9].assign(64, 0.0);
+  const cluster::Ksc algorithm;
+  ExpectInvariant<cluster::ClusteringResult>(
+      [&] {
+        common::Rng rng(13);
+        return algorithm.Cluster(series, 4, &rng);
+      },
+      ResultsBitIdentical, "KSC");
+}
+
 TEST(ParallelInvarianceTest, MatrixFreeShapeExtraction) {
   // The matrix-free extraction matvec fans out over fixed row blocks
   // (linalg::RowPoolMatVec) with a sequential fixed-order reduction; the
@@ -212,8 +232,8 @@ TEST(ParallelInvarianceTest, SbdEngineDistanceToAll) {
 }
 
 TEST(ParallelInvarianceTest, MultivariateKShapeFullRun) {
-  // Covers the cached mSBD assignment scans and the per-series channel
-  // spectrum pre-pass.
+  // Covers the cached mSBD assignment scans, the per-series channel spectrum
+  // pre-pass, and the driver's member pass and per-channel solves.
   std::vector<core::MultivariateSeries> series;
   common::Rng rng(16);
   for (int i = 0; i < 24; ++i) {

@@ -478,32 +478,6 @@ TEST(MatrixFreeExtractionTest, CrossoverBelowMinMembersMatchesGramBitwise) {
   }
 }
 
-TEST(MatrixFreeExtractionTest, MaxMembersSpillMatchesGramBitwise) {
-  // The memory bound: exceeding matrix_free_max_members folds the pool into
-  // the Gram mid-accumulation. Same rows, same order — bit-identical to
-  // having accumulated the Gram from the first Add.
-  const std::size_t m = 40;
-  const std::vector<Series> members = NoisySineCorpus(12, m, 73);
-  const Series reference = tseries::ZNormalized(Sine(m, 2.0, 0.5));
-
-  ShapeExtractionOptions capped;
-  capped.matrix_free_max_members = 4;
-  ShapeExtractionOptions gram;
-  gram.use_matrix_free = false;
-
-  ShapeAccumulator accumulator(reference, capped);
-  for (const Series& s : members) accumulator.Add(s);
-  EXPECT_FALSE(accumulator.matrix_free_active());  // Spilled.
-
-  common::Rng rng_capped(79);
-  const ExtractedShape spilled = accumulator.Finish(&rng_capped, capped);
-  const Series via_gram = ExtractWith(members, reference, 79, gram);
-  ASSERT_EQ(spilled.centroid.size(), via_gram.size());
-  for (std::size_t t = 0; t < m; ++t) {
-    EXPECT_EQ(spilled.centroid[t], via_gram[t]) << "t=" << t;
-  }
-}
-
 TEST(MatrixFreeExtractionTest, DegenerateMembersAndZeroReferenceParity) {
   // Constant members (z-normalize to zero) are dropped by both storage
   // modes; a fully degenerate set yields the flagged zero centroid in both.
@@ -704,11 +678,6 @@ TEST(ShapeAccumulatorShiftTest, SbdShiftMatchesDirectAddBitwiseInEveryMode) {
   ASSERT_LT(few.size(), pool.matrix_free_min_members);
   ExpectShiftRouteMatchesDirect(few, reference, pool, /*expect_pool=*/true,
                                 "below crossover");
-
-  ShapeExtractionOptions capped;
-  capped.matrix_free_max_members = 4;
-  ExpectShiftRouteMatchesDirect(ShiftedCorpus(12, m, 151), reference, capped,
-                                /*expect_pool=*/false, "spill");
 }
 
 TEST(ShapeAccumulatorShiftTest, ZeroNormReferenceIgnoresAnyShift) {
@@ -789,6 +758,61 @@ void ExpectSameBits(const ExtractedShape& a, const ExtractedShape& b,
   }
 }
 
+TEST(ShapeAccumulatorShiftTest, AlignFlagShiftsAZeroReferenceChannel) {
+  // A channel whose own reference is zero, in a multichannel centroid that
+  // is not, still takes the members' shift when built with align = true.
+  const std::size_t m = 40;
+  const std::vector<Series> members = ShiftedCorpus(9, m, 181);
+  ShapeExtractionOptions cold;
+  cold.warm_start = false;
+  ShapeAccumulator zero_channel(Series(m, 0.0), cold, CentroidSolve::kShape,
+                                /*align=*/true);
+  ShapeAccumulator aligned(tseries::ZNormalized(Sine(m, 1.0, 0.3)), cold);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const int shift = static_cast<int>(i % 7) - 3;
+    zero_channel.Add(members[i], shift);
+    aligned.Add(members[i], shift);
+  }
+  common::Rng rng_zero(191);
+  common::Rng rng_aligned(191);
+  ExpectSameBits(zero_channel.Finish(&rng_zero, cold),
+                 aligned.Finish(&rng_aligned, cold), "zero channel");
+}
+
+TEST(ShapeAccumulatorKscSolveTest, ScaledShiftedCopiesGiveTheUnitNormShape) {
+  // The KSC solve unit-scales each aligned row, so scaled copies of one
+  // shape realigned by their shifts all pool the same row: the dominant
+  // eigenvector of Σ ŝŝᵀ is that unit row, oriented toward the mean and
+  // left at unit norm (not z-normalized).
+  const std::size_t m = 48;
+  Series bump(m, 0.0);
+  for (std::size_t t = 18; t < 30; ++t) {
+    bump[t] = 1.0 + std::sin(static_cast<double>(t));
+  }
+  const double norm = linalg::Norm(bump);
+  ShapeExtractionOptions options;
+  options.warm_start = false;
+  options.matrix_free_min_members = 1;
+  ShapeAccumulator accumulator(bump, options, CentroidSolve::kKsc);
+  const double scales[] = {0.5, 2.0, 3.0, 7.5};
+  const int lags[] = {-6, 0, 4, 9};
+  for (std::size_t i = 0; i < 4; ++i) {
+    Series scaled = bump;
+    for (double& v : scaled) v *= scales[i];
+    accumulator.Add(tseries::ShiftWithZeroFill(scaled, lags[i]), -lags[i]);
+  }
+  accumulator.Add(Series(m, 0.0), 0);  // Zero rows are counted, then dropped.
+  EXPECT_EQ(accumulator.members_added(), 5u);
+  EXPECT_TRUE(accumulator.matrix_free_active());
+  common::Rng rng(193);
+  const ExtractedShape shape = accumulator.Finish(&rng, options);
+  ASSERT_FALSE(shape.degenerate);
+  EXPECT_NEAR(linalg::Norm(shape.centroid), 1.0, 1e-12);
+  for (std::size_t t = 0; t < m; ++t) {
+    EXPECT_NEAR(shape.centroid[t], bump[t] / norm, 1e-9) << "t=" << t;
+  }
+}
+
 // Feeds `members` with `shifts` through sequential Add(member, shift) and
 // through stages of `stage_rows` slots, each filled on the pool in reverse
 // slot order, and asserts equal counts, storage mode and solved bits.
@@ -844,8 +868,6 @@ TEST(ShapeAccumulatorStageTest, FillAndCommitMatchesSequentialAddInEveryMode) {
   ShapeExtractionOptions gram;
   gram.use_matrix_free = false;
   const ShapeExtractionOptions pool;  // min_members = 8.
-  ShapeExtractionOptions capped;
-  capped.matrix_free_max_members = 4;
   const std::vector<Series> many =
       WithZeroNormMembers(ShiftedCorpus(14, m, 137));
   const std::vector<Series> few = WithZeroNormMembers(ShiftedCorpus(7, m, 149));
@@ -859,8 +881,6 @@ TEST(ShapeAccumulatorStageTest, FillAndCommitMatchesSequentialAddInEveryMode) {
                                   /*expect_pool=*/true, "pool" + t);
     ExpectStagedMatchesSequential(few, direct_shifts(few), reference, pool,
                                   /*expect_pool=*/true, "below crossover" + t);
-    ExpectStagedMatchesSequential(many, direct_shifts(many), reference, capped,
-                                  /*expect_pool=*/false, "spill" + t);
 
     // A zero-norm reference aligns nothing, whatever the shifts say.
     std::vector<int> arbitrary;
@@ -868,10 +888,9 @@ TEST(ShapeAccumulatorStageTest, FillAndCommitMatchesSequentialAddInEveryMode) {
       arbitrary.push_back(static_cast<int>((i * 23) % (2 * m - 1)) -
                           (m_int - 1));
     }
-    for (const ShapeExtractionOptions& options : {gram, pool, capped}) {
+    for (const ShapeExtractionOptions& options : {gram, pool}) {
       ExpectStagedMatchesSequential(many, arbitrary, Series(m, 0.0), options,
-                                    options.use_matrix_free &&
-                                        options.matrix_free_max_members == 0,
+                                    options.use_matrix_free,
                                     "zero reference" + t);
     }
   }
