@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -17,13 +19,16 @@ namespace {
 // The store as the driver's block source: one block per shard, each with
 // its own SbdEngine riding the store's residency layer. Block() acquires the
 // shard (possibly evicting another), drops engines whose shards were
-// evicted, and (re)builds the engine when the shard was (re)loaded — keyed
-// by the shard's generation stamp. With the whole store resident the engines
-// persist across iterations; under pressure they rebuild with the shard, so
-// engine memory is bounded by the same residency budget as the samples.
-// The per-shard engines produce bitwise the same spectra and norms as one
-// engine over the whole corpus (the FFT of a series depends on nothing but
-// the series and fft_len, a function of m alone).
+// evicted, creates a deferred engine when the shard was (re)loaded — keyed
+// by the shard's generation stamp — and builds the rows the caller is about
+// to read that the engine does not hold yet. With the whole store resident
+// the engines persist across iterations and fill up as walks read them;
+// under pressure they are dropped with the shard, so engine memory is
+// bounded by the same residency budget as the samples, and a reload pays
+// only for the rows its walk reads. The per-shard engines produce bitwise
+// the same spectra and norms as one engine over the whole corpus (the FFT of
+// a series depends on nothing but the series and fft_len, a function of m
+// alone).
 class ShardEngines : public core::BlockSource {
  public:
   ShardEngines(store::ShardedSeriesStore* store, core::EngineConfig config)
@@ -37,7 +42,8 @@ class ShardEngines : public core::BlockSource {
     return store_->ShardOfRow(i);
   }
 
-  core::SeriesBlock Block(std::size_t s) override {
+  core::SeriesBlock Block(std::size_t s,
+                          const core::EngineReads& reads) override {
     const store::ShardView view = store_->Acquire(s);
     for (std::size_t c = 0; c < engines_.size(); ++c) {
       if (engines_[c].has_value() && !store_->ShardResident(c)) {
@@ -45,19 +51,40 @@ class ShardEngines : public core::BlockSource {
       }
     }
     if (!engines_[s].has_value() || built_generation_[s] != view.generation()) {
-      engines_[s].emplace(view.batch(), core::CrossCorrelationImpl::kFft,
+      engines_[s].emplace(view.batch(), core::SbdEngine::DeferRows{},
+                          core::CrossCorrelationImpl::kFft,
                           config_.half_spectrum, config_.bound_planes);
       built_generation_[s] = view.generation();
     }
+    engines_[s]->BuildRows(LocalRows(reads.spectra, view, &spectra_rows_),
+                           LocalRows(reads.planes, view, &plane_rows_));
     return core::SeriesBlock{view.batch(), view.global_begin(),
                              &*engines_[s]};
   }
 
  private:
+  // `run` as rows local to the shard of `view`, written into *out.
+  static std::span<const std::size_t> LocalRows(
+      const core::RowRun& run, const store::ShardView& view,
+      std::vector<std::size_t>* out) {
+    if (run.all) {
+      out->resize(view.rows());
+      std::iota(out->begin(), out->end(), std::size_t{0});
+    } else {
+      out->resize(run.rows.size());
+      for (std::size_t t = 0; t < run.rows.size(); ++t) {
+        (*out)[t] = run.rows[t] - view.global_begin();
+      }
+    }
+    return *out;
+  }
+
   store::ShardedSeriesStore* store_;
   core::EngineConfig config_;
   std::vector<std::optional<core::SbdEngine>> engines_;
   std::vector<std::uint64_t> built_generation_;
+  std::vector<std::size_t> spectra_rows_;
+  std::vector<std::size_t> plane_rows_;
 };
 
 }  // namespace

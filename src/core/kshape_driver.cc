@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -28,7 +29,8 @@ constexpr std::size_t kScanGrain = 16;
 // Copies global row i (the copy owns its samples, so a later Block() call
 // that evicts the row's block cannot invalidate it).
 tseries::Series CopyRow(BlockSource* source, std::size_t i) {
-  const SeriesBlock block = source->Block(source->BlockOfRow(i));
+  const SeriesBlock block =
+      source->Block(source->BlockOfRow(i), EngineReads{});
   const tseries::SeriesView row = block.batch[i - block.base];
   return tseries::Series(row.begin(), row.end());
 }
@@ -56,8 +58,10 @@ std::vector<int> PlusPlusSeeding(BlockSource* source, int k, common::Rng* rng,
       q = SbdEngine::MakeQueryFor(seed_row, m, fft_len, half,
                                   /*build_bound_planes=*/false);
     }
+    EngineReads reads;
+    reads.spectra.all = engines;
     for (std::size_t b = 0; b < source->num_blocks(); ++b) {
-      const SeriesBlock block = source->Block(b);
+      const SeriesBlock block = source->Block(b, reads);
       common::ParallelFor(0, block.batch.size(), kScanGrain,
                           [&](std::size_t begin, std::size_t end) {
         for (std::size_t r = begin; r < end; ++r) {
@@ -126,7 +130,8 @@ struct RowSet {
 };
 
 // A RowSet's rows inside one block: every row of the block when the set is
-// all, else sample[pos, pos + count). row(t) is the t-th one, block-local.
+// all, else sample[pos, pos + count). row(t) is the t-th one, block-local;
+// it and the count of an all set are known once Locate has seen the block.
 struct BlockRows {
   const RowSet* set = nullptr;
   std::size_t base = 0;
@@ -135,16 +140,27 @@ struct BlockRows {
   std::size_t row(std::size_t t) const {
     return set->all ? t : set->sample[pos + t] - base;
   }
+  RowRun run() const {
+    if (set->all) return RowRun{true, {}};
+    return RowRun{false, std::span(set->sample).subspan(pos, count)};
+  }
+  void Locate(const SeriesBlock& block) {
+    base = block.base;
+    if (set->all) count = block.batch.size();
+  }
 };
 
-// The rows of `set` inside `block`. Blocks are taken in ascending order;
-// *pos is the first sample position no earlier block took.
-BlockRows TakeRows(const RowSet& set, const SeriesBlock& block,
-                   std::size_t* pos) {
-  BlockRows rows{&set, block.base, *pos, block.batch.size()};
+// The rows of `set` inside block b, taken before the block is acquired so
+// the source can ready them. Blocks are taken in ascending order; *pos is
+// the first sample position no earlier block took.
+BlockRows TakeRows(const BlockSource& source, const RowSet& set,
+                   std::size_t b, std::size_t* pos) {
+  BlockRows rows{&set, 0, *pos, 0};
   if (!set.all) {
-    const std::size_t end = block.base + block.batch.size();
-    while (*pos < set.sample.size() && set.sample[*pos] < end) ++*pos;
+    while (*pos < set.sample.size() &&
+           source.BlockOfRow(set.sample[*pos]) == b) {
+      ++*pos;
+    }
     rows.count = *pos - rows.pos;
   }
   return rows;
@@ -237,9 +253,11 @@ cluster::ClusteringResult RunKShapeDriver(
 
   // Distance of global series i to centroid j, for the repair scan (which
   // visits rows in ascending order, so a store-backed source loads each
-  // block at most once per empty cluster).
+  // block at most once per empty cluster). The scan reads row i alone.
   const auto repair_distance = [&](int j, std::size_t i) {
-    const SeriesBlock block = source->Block(source->BlockOfRow(i));
+    EngineReads reads;
+    reads.spectra.rows = std::span(&i, 1);
+    const SeriesBlock block = source->Block(source->BlockOfRow(i), reads);
     const std::size_t r = i - block.base;
     return engines ? block.engine->Distance(assigner.queries()[j], r)
                    : policy->Distance(j, i, block.batch[r]);
@@ -345,8 +363,10 @@ cluster::ClusteringResult RunKShapeDriver(
   // accumulator commits require): each block is acquired once, its
   // `to_assign` rows are assigned, then its `to_fill` rows are fed to the
   // accumulators. A block's fill reads only labels of its own rows, which
-  // its assignment has already settled. With `defer_last` the last block's
-  // fill is returned instead of run; fill time is added to `fill_seconds`.
+  // its assignment has already settled. The block is asked for exactly the
+  // engine rows the two read: planes for the assigned rows, spectra for the
+  // filled rows once fills align. With `defer_last` the last block's fill is
+  // returned instead of run; fill time is added to `fill_seconds`.
   struct DeferredFill {
     std::size_t block = 0;
     BlockRows rows;
@@ -359,9 +379,16 @@ cluster::ClusteringResult RunKShapeDriver(
     std::size_t fill_pos = 0;
     DeferredFill deferred;
     for (std::size_t v = 0; v < blocks.size(); ++v) {
-      const SeriesBlock block = source->Block(blocks[v]);
-      assign(block, TakeRows(to_assign, block, &assign_pos));
-      const BlockRows rows = TakeRows(to_fill, block, &fill_pos);
+      BlockRows assign_rows =
+          TakeRows(*source, to_assign, blocks[v], &assign_pos);
+      BlockRows rows = TakeRows(*source, to_fill, blocks[v], &fill_pos);
+      EngineReads reads;
+      reads.planes = assign_rows.run();
+      if (aligned) reads.spectra = rows.run();
+      const SeriesBlock block = source->Block(blocks[v], reads);
+      assign_rows.Locate(block);
+      rows.Locate(block);
+      assign(block, assign_rows);
       if (defer_last && v + 1 == blocks.size()) {
         deferred = {blocks[v], rows};
       } else {
@@ -497,7 +524,9 @@ cluster::ClusteringResult RunKShapeDriver(
     filled = reseeds == 0;
     if (filled && deferred.rows.count > 0) {
       phase_clock.Reset();
-      fill(source->Block(deferred.block), deferred.rows);
+      EngineReads reads;
+      reads.spectra = deferred.rows.run();
+      fill(source->Block(deferred.block, reads), deferred.rows);
       result.extraction_seconds += phase_clock.ElapsedSeconds();
     }
     rows = std::move(next);

@@ -23,8 +23,11 @@
 // block's rows (AssignBlock, AssignBlockWith or its slice of AssignSample),
 // then fills iteration t+1's accumulators with the same block's members —
 // referenced at the centroids t just solved, aligned with t's queries (or
-// the policy prepared with those centroids), over the labels t just wrote. The last block's fill waits for the convergence
-// check, while that block is still resident. t+1's sample is drawn before
+// the policy prepared with those centroids), over the labels t just wrote.
+// Before acquiring a block the walk tells the source which engine rows it
+// will read (EngineReads), so a source that builds rows on request builds
+// only those. The last block's fill waits for the convergence check, while
+// that block is still resident. t+1's sample is drawn before
 // the walk from a copy of the rng that is committed only if t+1 runs. Only
 // iteration 0, and an iteration after a repair that reseeded (repair
 // rewrites labels the fills read; those fills are discarded), run a walk
@@ -43,6 +46,7 @@
 #define KSHAPE_CORE_KSHAPE_DRIVER_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "cluster/algorithm.h"
@@ -63,6 +67,23 @@ struct SeriesBlock {
   const SbdEngine* engine = nullptr;
 };
 
+/// Global rows of one block: every row of it, or an ascending run of global
+/// indices inside it.
+struct RowRun {
+  bool all = false;
+  std::span<const std::size_t> rows;
+};
+
+/// What a caller reads through a block's engine until its next Block()
+/// call.
+struct EngineReads {
+  /// Rows whose spectrum, norm and bound planes are read (the assignment
+  /// scan's rows; planes matter only when the engine keeps them).
+  RowRun planes;
+  /// Rows whose spectrum and norm alone are read.
+  RowRun spectra;
+};
+
 /// The corpus, cut into blocks of ascending global base. Called from the
 /// coordinating thread only.
 class BlockSource {
@@ -75,19 +96,25 @@ class BlockSource {
 
   virtual std::size_t num_blocks() const = 0;
 
-  /// Block b. The returned views stay valid until the next Block() call
-  /// (a store-backed source may evict the previous block to load this one).
-  /// Within a walk the driver asks for blocks in ascending order; after it,
-  /// it may ask again for the walk's last block, which a source that kept it
-  /// resident serves without a reload.
-  virtual SeriesBlock Block(std::size_t b) = 0;
+  /// Block b, whose engine (if any) is ready for `reads`: the caller reads
+  /// those rows and no others through it until the next Block() call. An
+  /// eager engine has every row; a source whose engines build rows on
+  /// request builds the missing ones here, before the caller fans out, and
+  /// the rows it built stay built while the block stays resident. The
+  /// returned views stay valid until the next Block() call (a store-backed
+  /// source may evict the previous block to load this one). Within a walk
+  /// the driver asks for blocks in ascending order; after it, it may ask
+  /// again for the walk's last block, which a source that kept it resident
+  /// serves without a reload.
+  virtual SeriesBlock Block(std::size_t b, const EngineReads& reads) = 0;
 
   /// The block holding global row i.
   virtual std::size_t BlockOfRow(std::size_t i) const = 0;
 };
 
-/// An in-memory batch as one always-resident block, with an optional engine
-/// over it. Both are views: they must outlive the source.
+/// An in-memory batch as one always-resident block, with an optional eager
+/// engine over it (so it ignores the reads it is asked for). Both are views:
+/// they must outlive the source.
 class InMemoryBlockSource : public BlockSource {
  public:
   InMemoryBlockSource(const tseries::SeriesBatch& series,
@@ -97,7 +124,7 @@ class InMemoryBlockSource : public BlockSource {
   std::size_t size() const override { return series_.size(); }
   std::size_t length() const override { return series_.length(); }
   std::size_t num_blocks() const override { return 1; }
-  SeriesBlock Block(std::size_t) override {
+  SeriesBlock Block(std::size_t, const EngineReads&) override {
     return SeriesBlock{series_, 0, engine_};
   }
   std::size_t BlockOfRow(std::size_t) const override { return 0; }

@@ -244,19 +244,19 @@ BatchSpectra::BatchSpectra(std::size_t count, std::size_t fft_len)
       fft_len_(fft_len),
       bins_(RfftBins(fft_len)),
       plan_(&GetRfftPlan(fft_len)),
-      re_(count * bins_, 0.0),
-      im_(count * bins_, 0.0) {
+      re_(std::make_unique_for_overwrite<double[]>(count * bins_)),
+      im_(std::make_unique_for_overwrite<double[]>(count * bins_)) {
   KSHAPE_CHECK(fft_len >= 1);
 }
 
 void BatchSpectra::Transform(std::size_t i, std::span<const double> x) {
   KSHAPE_CHECK(i < count_);
-  plan_->Forward(x, re_.data() + i * bins_, im_.data() + i * bins_);
+  plan_->Forward(x, re_.get() + i * bins_, im_.get() + i * bins_);
 }
 
 RfftView BatchSpectra::view(std::size_t i) const {
   KSHAPE_CHECK(i < count_);
-  return RfftView{fft_len_, re_.data() + i * bins_, im_.data() + i * bins_};
+  return RfftView{fft_len_, re_.get() + i * bins_, im_.get() + i * bins_};
 }
 
 void CrossCorrelationFromRfft(const RfftPlan& plan, const RfftView& x,
@@ -297,6 +297,13 @@ void CrossCorrelationFromRfft(const RfftView& x, const RfftView& y,
 
 std::vector<double> RfftCrossCorrelation(std::span<const double> x,
                                          std::span<const double> y) {
+  std::vector<double> cc;
+  RfftCrossCorrelation(x, y, &cc);
+  return cc;
+}
+
+void RfftCrossCorrelation(std::span<const double> x,
+                          std::span<const double> y, std::vector<double>* cc) {
   const std::size_t m = x.size();
   KSHAPE_CHECK_MSG(y.size() == m, "cross-correlation requires equal lengths");
   KSHAPE_CHECK(m >= 1);
@@ -314,11 +321,8 @@ std::vector<double> RfftCrossCorrelation(std::span<const double> x,
   plan.Forward(x, x_re.data(), x_im.data());
   plan.Forward(y, y_re.data(), y_im.data());
 
-  std::vector<double> cc;
   CrossCorrelationFromRfft(plan, RfftView{fft_len, x_re.data(), x_im.data()},
-                           RfftView{fft_len, y_re.data(), y_im.data()}, m,
-                           &cc);
-  return cc;
+                           RfftView{fft_len, y_re.data(), y_im.data()}, m, cc);
 }
 
 namespace {

@@ -2,6 +2,7 @@
 #define KSHAPE_FFT_RFFT_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -126,7 +127,9 @@ RfftSpectrum RfftForward(std::span<const double> x, std::size_t fft_len);
 /// and all re planes (then all im planes) contiguous so batch scans walk the
 /// pool linearly. Slots are disjoint, so concurrent Transform calls on
 /// distinct `i` from a ParallelFor are safe; the filled pool is immutable
-/// through view().
+/// through view(). The pool is not zero-filled: a slot holds unspecified
+/// values until Transform fills it, so a caller that fills a few slots of a
+/// large pool touches only those.
 class BatchSpectra {
  public:
   BatchSpectra(std::size_t count, std::size_t fft_len);
@@ -147,8 +150,8 @@ class BatchSpectra {
   std::size_t fft_len_;
   std::size_t bins_;
   const RfftPlan* plan_;
-  std::vector<double> re_;  // count_ * bins_
-  std::vector<double> im_;  // count_ * bins_
+  std::unique_ptr<double[]> re_;  // count_ * bins_
+  std::unique_ptr<double[]> im_;  // count_ * bins_
 };
 
 /// Half-spectrum counterpart of CrossCorrelationFromSpectra: forms
@@ -178,6 +181,11 @@ void CrossCorrelationFromRfft(const RfftPlan& plan, const RfftView& x,
 /// lag layout and padded-length convention.
 std::vector<double> RfftCrossCorrelation(std::span<const double> x,
                                          std::span<const double> y);
+
+/// Same, written into `cc` (resized to 2m-1), so a caller looping over
+/// pairs can keep one buffer.
+void RfftCrossCorrelation(std::span<const double> x,
+                          std::span<const double> y, std::vector<double>* cc);
 
 /// Process-wide half-spectrum gate, resolved once on first use from the
 /// KSHAPE_HALF_SPECTRUM environment variable: "off" disables the half path

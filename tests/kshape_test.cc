@@ -267,7 +267,9 @@ class OversizedSource : public BlockSource {
   }
   std::size_t length() const override { return 16; }
   std::size_t num_blocks() const override { return 1; }
-  SeriesBlock Block(std::size_t) override { return SeriesBlock{}; }
+  SeriesBlock Block(std::size_t, const EngineReads&) override {
+    return SeriesBlock{};
+  }
   std::size_t BlockOfRow(std::size_t) const override { return 0; }
 };
 

@@ -6,11 +6,13 @@
 // transforms each series separately, and the two round differently in the
 // last ulps. Exact-value conventions (zero diagonal, distance exactly 1 for
 // zero-norm inputs, bitwise matrix symmetry) ARE bitwise and are asserted
-// with operator==.
+// with operator==, and so is an engine whose rows are built on request
+// against the eager engine over the same series.
 
 #include <cmath>
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -22,6 +24,7 @@
 
 #include "classify/nearest_neighbor.h"
 #include "cluster/kmedoids.h"
+#include "common/parallel.h"
 #include "common/random.h"
 #include "core/kshape.h"
 #include "core/multivariate.h"
@@ -523,6 +526,141 @@ TEST(SbdCacheTest, EngineRepeatedEvaluationIsBitStable) {
       }
     }
   }
+}
+
+// Exact equality of two doubles' bits (distinguishes -0.0 from 0.0).
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Every read a deferred engine can serve so far, compared bit for bit with
+// the eager engine: pair distances over the rows holding spectra, query
+// distances and peaks for those rows, and the spectral bound and abandoning
+// distance for the rows holding planes.
+void ExpectDeferredMatchesEager(const core::SbdEngine& eager,
+                                const core::SbdEngine& deferred,
+                                const std::vector<core::SbdEngine::Query>& qs,
+                                const std::vector<std::size_t>& spectra,
+                                const std::vector<std::size_t>& planes,
+                                const std::string& what) {
+  for (const std::size_t i : spectra) {
+    for (const std::size_t j : spectra) {
+      EXPECT_TRUE(SameBits(deferred.Distance(i, j), eager.Distance(i, j)))
+          << what << " pair (" << i << "," << j << ")";
+    }
+    for (const core::SbdEngine::Query& q : qs) {
+      EXPECT_TRUE(SameBits(deferred.Distance(q, i), eager.Distance(q, i)))
+          << what << " row " << i;
+      const core::NccPeak a = deferred.MaxNcc(q, i);
+      const core::NccPeak b = eager.MaxNcc(q, i);
+      EXPECT_TRUE(SameBits(a.value, b.value)) << what << " row " << i;
+      EXPECT_EQ(a.shift, b.shift) << what << " row " << i;
+    }
+  }
+  for (const std::size_t i : planes) {
+    for (const core::SbdEngine::Query& q : qs) {
+      EXPECT_TRUE(
+          SameBits(deferred.NccUpperBound(q, i), eager.NccUpperBound(q, i)))
+          << what << " row " << i;
+      for (const double cutoff :
+           {0.0, 0.3, std::numeric_limits<double>::infinity()}) {
+        bool abandoned_a = false;
+        bool abandoned_b = false;
+        const double a = deferred.DistanceWithAbandon(q, i, cutoff,
+                                                      &abandoned_a);
+        const double b = eager.DistanceWithAbandon(q, i, cutoff,
+                                                   &abandoned_b);
+        EXPECT_TRUE(SameBits(a, b)) << what << " row " << i;
+        EXPECT_EQ(abandoned_a, abandoned_b) << what << " row " << i;
+      }
+    }
+  }
+}
+
+// A deferred engine builds its rows on request, in any subsets and order;
+// each row's spectrum, norm and plane are pure functions of the row, so the
+// engine must answer exactly as the eager one — at power-of-two and
+// Bluestein lengths, in both spectrum layouts, with a zero-norm row, at
+// every thread count.
+TEST(SbdCacheTest, RowsBuiltOnRequestMatchEagerEngineBitwise) {
+  const int saved_threads = common::ThreadCount();
+  // Build steps of one run: (spectrum-only rows, plane rows), applied in
+  // order; repeats and already-built rows are allowed.
+  const std::vector<std::pair<std::vector<std::size_t>,
+                              std::vector<std::size_t>>> steps = {
+      {{9, 0}, {7, 2, 7}},
+      {{3, 5, 1, 9}, {}},
+      {{}, {0, 3, 9, 2}},
+      {{6, 4, 8, 7, 2, 1, 0, 3, 5, 9}, {8, 6, 4, 1, 5}},
+  };
+  for (const std::size_t m : {1u, 7u, 48u, 65u}) {
+    std::vector<Series> series = MakeSeries(10, m, 40 + m);
+    std::fill(series[3].begin(), series[3].end(), 0.0);
+    for (const core::CrossCorrelationImpl impl :
+         {core::CrossCorrelationImpl::kFft,
+          core::CrossCorrelationImpl::kFftNoPow2}) {
+      for (const bool half : {true, false}) {
+        for (const int threads : {1, 2, 8}) {
+          common::SetThreadCount(threads);
+          const std::string what =
+              "m=" + std::to_string(m) + " impl=" +
+              std::to_string(static_cast<int>(impl)) +
+              " half=" + std::to_string(half) +
+              " threads=" + std::to_string(threads);
+          const core::SbdEngine eager(series, impl, half,
+                                      /*build_bound_planes=*/true);
+          core::SbdEngine deferred(series, core::SbdEngine::DeferRows{}, impl,
+                                   half, /*build_bound_planes=*/true);
+          ASSERT_EQ(deferred.size(), eager.size());
+          ASSERT_EQ(deferred.fft_length(), eager.fft_length());
+          ASSERT_TRUE(deferred.has_bound_planes());
+          std::vector<core::SbdEngine::Query> qs;
+          for (const std::size_t i : {0u, 3u, 6u}) {
+            qs.push_back(eager.MakeQuery(series[i]));
+          }
+          std::vector<char> has_spectrum(series.size(), 0);
+          std::vector<char> has_plane(series.size(), 0);
+          for (const auto& [rows, plane_rows] : steps) {
+            deferred.BuildRows(rows, plane_rows);
+            for (const std::size_t i : rows) has_spectrum[i] = 1;
+            for (const std::size_t i : plane_rows) {
+              has_spectrum[i] = 1;
+              has_plane[i] = 1;
+            }
+            std::vector<std::size_t> spectra;
+            std::vector<std::size_t> planes;
+            for (std::size_t i = 0; i < series.size(); ++i) {
+              if (has_spectrum[i]) spectra.push_back(i);
+              if (has_plane[i]) planes.push_back(i);
+            }
+            ExpectDeferredMatchesEager(eager, deferred, qs, spectra, planes,
+                                       what);
+          }
+        }
+      }
+    }
+  }
+  common::SetThreadCount(saved_threads);
+}
+
+TEST(SbdCacheDeathTest, ReadingAnUnbuiltRowAborts) {
+  const std::vector<Series> series = MakeSeries(4, 16, 3);
+  core::SbdEngine engine(series, core::SbdEngine::DeferRows{},
+                         core::CrossCorrelationImpl::kFft,
+                         /*use_half_spectrum=*/true,
+                         /*build_bound_planes=*/true);
+  const std::size_t spectrum_only[] = {1};
+  const std::size_t with_planes[] = {0};
+  engine.BuildRows(spectrum_only, with_planes);
+  const core::SbdEngine::Query q = engine.MakeQuery(series[2]);
+  bool abandoned = false;
+  EXPECT_DEATH(engine.Distance(q, 2), "before it was built");
+  EXPECT_DEATH(engine.MaxNcc(q, 3), "before it was built");
+  EXPECT_DEATH(engine.Distance(0, 2), "before it was built");
+  // Row 1 holds its spectrum but no plane.
+  EXPECT_DEATH(engine.NccUpperBound(q, 1), "before it was built");
+  EXPECT_DEATH(engine.DistanceWithAbandon(q, 1, 0.5, &abandoned),
+               "before it was built");
 }
 
 }  // namespace
