@@ -75,7 +75,10 @@
 #    negative-lag index arithmetic of the lag-order inverse at m = 1, 2, 3),
 #    pruning_test (bound-plane indexing at Bluestein lengths, the
 #    partial-sum checkpoint tails), sharded_store_test (mmap-free file I/O,
-#    truncated/corrupt shard handling), minibatch_kshape_test (sampled
+#    truncated/corrupt shard handling, a load into an evicted shard's
+#    buffer), sbd_cache_test (an engine's rows built on request in any
+#    subsets and order, bound planes at Bluestein lengths, the abort on an
+#    unbuilt row), minibatch_kshape_test (sampled
 #    scatter indexing, streamed repair, the fused walk's per-block row
 #    ranges, deferred last-block fill and post-reseed refill), shape_extraction_test (pooled-row
 #    and partial-block indexing on the matrix-free path, crossover
@@ -209,7 +212,7 @@ cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "${ASAN_DIR}" -j "${JOBS}" \
       --target degenerate_input_test robustness_properties_test tseries_test \
                fft_test rfft_test simd_kernels_test pruning_test \
-               sharded_store_test \
+               sharded_store_test sbd_cache_test \
                shape_extraction_test kshape_test minibatch_kshape_test \
                fitted_model_test multivariate_test
 
@@ -238,6 +241,9 @@ UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/sharded_store_test"
+ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "${ASAN_DIR}/tests/sbd_cache_test"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "${ASAN_DIR}/tests/shape_extraction_test"

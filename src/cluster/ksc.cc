@@ -68,13 +68,18 @@ KscAlignment KscAlignFft(tseries::SeriesView x, tseries::SeriesView y) {
 
   // Every shifted dot product in one transform: the overlap window of shift
   // q is exactly the lag-q cross-correlation, so xy(q) = cc[m-1+q] in the
-  // shared lag layout (cc[i] = R_{i-(m-1)}).
-  const std::vector<double> cc = fft::RfftCrossCorrelation(x, y);
+  // shared lag layout (cc[i] = R_{i-(m-1)}). Both buffers are per-thread
+  // scratch: the assignment scan calls this once per (series, centroid)
+  // pair from pool tasks.
+  static thread_local std::vector<double> cc;
+  static thread_local std::vector<double> prefix;
+  fft::RfftCrossCorrelation(x, y, &cc);
   // ||y(q)||^2 over the overlap from prefix sums of y^2: window y[0..m-1-q]
   // for q >= 0, y[-q..m-1] for q < 0. Prefix sums of squares are monotone in
   // exact and floating-point arithmetic alike, so the differences below are
   // nonnegative.
-  std::vector<double> prefix(static_cast<std::size_t>(m) + 1, 0.0);
+  prefix.resize(static_cast<std::size_t>(m) + 1);
+  prefix[0] = 0.0;
   for (int i = 0; i < m; ++i) prefix[i + 1] = prefix[i] + y[i] * y[i];
 
   best.distance = std::numeric_limits<double>::infinity();

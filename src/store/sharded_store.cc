@@ -218,6 +218,9 @@ ShardView ShardedSeriesStore::Acquire(std::size_t s) {
   KSHAPE_CHECK(s < shard_count_);
   Shard& shard = shards_[s];
   if (!shard.resident) {
+    // An evicting load reads into the victim's buffer instead of freeing it
+    // and zero-filling a fresh one.
+    std::vector<double> buffer;
     if (resident_ == options_.max_resident_shards) {
       // Evict the least-recently-used resident shard. The scan is O(#shards)
       // but eviction already pays a disk read, so a heap would be noise.
@@ -230,9 +233,10 @@ ShardView ShardedSeriesStore::Acquire(std::size_t s) {
         }
       }
       KSHAPE_CHECK(victim < shard_count_);
-      Evict(victim);
+      buffer = Evict(victim);
     }
     const std::size_t rows = ShardRowCount(s);
+    shard.data = std::move(buffer);
     shard.data.resize(rows * length_);
     std::ifstream in(ShardPath(s), std::ios::binary);
     KSHAPE_CHECK_MSG(in.good(), "cannot open shard file (Validate first?)");
@@ -252,15 +256,16 @@ ShardView ShardedSeriesStore::Acquire(std::size_t s) {
                    ShardBegin(s));
 }
 
-void ShardedSeriesStore::Evict(std::size_t s) {
+std::vector<double> ShardedSeriesStore::Evict(std::size_t s) {
   Shard& shard = shards_[s];
   KSHAPE_CHECK(shard.resident);
-  shard.data.clear();
-  shard.data.shrink_to_fit();
+  std::vector<double> buffer;
+  buffer.swap(shard.data);
   shard.resident = false;
   ++shard.generation;
   --resident_;
   ++evictions_;
+  return buffer;
 }
 
 void ShardedSeriesStore::EvictAll() {

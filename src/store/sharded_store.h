@@ -171,12 +171,13 @@ class ShardedSeriesStore {
   std::size_t ShardOfRow(std::size_t i) const;
 
   /// Loads shard s if not resident (evicting the least-recently-used shard
-  /// when the budget is full), marks it most-recently-used, and returns a
-  /// view. Requires a sealed store and s < num_shards().
+  /// when the budget is full, and reading s into the victim's buffer),
+  /// marks it most-recently-used, and returns a view. Requires a sealed
+  /// store and s < num_shards().
   ShardView Acquire(std::size_t s);
 
-  /// Evicts every resident shard (invalidating all views). Frees the
-  /// residency budget without destroying the store.
+  /// Evicts every resident shard (invalidating all views) and frees their
+  /// buffers, without destroying the store.
   void EvictAll();
 
   /// Number of currently resident shards (always <= max_resident_shards).
@@ -209,7 +210,9 @@ class ShardedSeriesStore {
 
   std::string ShardPath(std::size_t s) const;
   void SpillPending();
-  void Evict(std::size_t s);
+  // Evicts shard s and hands back its buffer (freed if the caller drops
+  // it).
+  std::vector<double> Evict(std::size_t s);
 
   std::string directory_;
   ShardedStoreOptions options_;

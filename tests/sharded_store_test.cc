@@ -8,7 +8,8 @@
 //    ShardOfRow) agree with each other and with the row layout;
 //  - Acquire respects the residency budget with least-recently-used
 //    eviction, refreshes recency on a hit, and keeps the loaded/evicted
-//    telemetry counters truthful;
+//    telemetry counters truthful; an evicting load reads into the victim's
+//    buffer and still sees exactly the bytes on disk;
 //  - eviction (LRU or EvictAll) invalidates outstanding ShardViews loudly:
 //    batch() on a stale view aborts instead of reading freed memory, and a
 //    reload mints a new generation so pre-eviction views stay dead;
@@ -262,6 +263,40 @@ TEST(ShardedStoreTest, GenerationDistinguishesReloadsFromHits) {
   const ShardView reloaded = store.Acquire(0);
   EXPECT_NE(reloaded.generation(), first.generation());
   EXPECT_EQ(reloaded.batch()[0][0], Cell(0, 0));
+}
+
+// An evicting Acquire reads the loading shard into the victim's buffer.
+// Reloads of full and partial shards, in any order, must still see exactly
+// the bytes on disk, each under a new generation.
+TEST(ShardedStoreTest, ReusedBuffersRereadIdenticalBytesUnderChurn) {
+  const std::string dir = FreshDir("reuse");
+  ShardedStoreOptions opt;
+  opt.shard_rows = 3;
+  opt.max_resident_shards = 2;
+  ShardedSeriesStore store = BuildStore(dir, 11, 5, opt);  // Last shard: 2.
+  ASSERT_EQ(store.num_shards(), 4u);
+  std::vector<std::uint64_t> generation(store.num_shards(), 0);
+  for (const std::size_t s : {0u, 3u, 1u, 3u, 2u, 0u, 1u, 3u, 2u, 3u, 0u}) {
+    const bool reload = !store.ShardResident(s);
+    const ShardView view = store.Acquire(s);
+    EXPECT_LE(store.resident_count(), store.max_resident_shards());
+    if (reload) {
+      EXPECT_NE(view.generation(), generation[s]) << "shard " << s;
+    } else {
+      EXPECT_EQ(view.generation(), generation[s]) << "shard " << s;
+    }
+    generation[s] = view.generation();
+    ASSERT_EQ(view.rows(), store.ShardRowCount(s));
+    const tseries::SeriesBatch batch = view.batch();
+    for (std::size_t r = 0; r < view.rows(); ++r) {
+      const std::size_t i = view.global_begin() + r;
+      for (std::size_t c = 0; c < 5; ++c) {
+        ASSERT_EQ(batch[r][c], Cell(i, c)) << "row " << i << " col " << c;
+      }
+    }
+  }
+  EXPECT_EQ(store.shards_loaded(), 9);
+  EXPECT_EQ(store.shard_evictions(), 7);
 }
 
 // ---------------------------------------------------------------------------
