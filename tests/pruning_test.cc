@@ -16,7 +16,9 @@
 //  - the telemetry partition computed + pruned + abandoned == n*k holds for
 //    every assignment iteration, and the exact path reports the full n*k as
 //    computed;
-//  - the KSHAPE_PRUNE gate and verify_pruning behave as documented.
+//  - the KSHAPE_PRUNE gate and verify_pruning behave as documented;
+//  - the Assigner's entry points (block, sample, callback) agree on labels
+//    and telemetry over the same rows.
 
 #include <cmath>
 #include <cstddef>
@@ -185,6 +187,101 @@ TEST(PruningTest, BoundPlanesOffByDefault) {
   EXPECT_EQ(r.abandoned, 0);
   EXPECT_EQ(r.computed, static_cast<long long>(engine.size()));
   EXPECT_EQ(r.index, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Assigner entry points.
+// ---------------------------------------------------------------------------
+
+long long PairsSeen(const model::AssignmentIterationStats& s) {
+  return s.computed + s.pruned_bounds + s.abandoned_partial;
+}
+
+void ExpectSameStats(const model::AssignmentIterationStats& a,
+                     const model::AssignmentIterationStats& b,
+                     const char* what) {
+  EXPECT_EQ(a.computed, b.computed) << what;
+  EXPECT_EQ(a.pruned_bounds, b.pruned_bounds) << what;
+  EXPECT_EQ(a.abandoned_partial, b.abandoned_partial) << what;
+}
+
+// AssignBlock, AssignSample and AssignBlockWith are one assignment scan
+// seen from three callers: over the same rows, with the movement bounds not
+// yet valid, they write the same labels and the same telemetry, and each
+// accounts for every (row, centroid) pair exactly once.
+TEST(PruningTest, AssignerEntryPointsAgree) {
+  const std::size_t n = 57;
+  const std::size_t m = 64;
+  for (uint64_t seed : {31u, 32u}) {
+    const std::vector<Series> series = MakeSeries(n, m, 800 + seed);
+    for (int k : {2, 3, 8}) {
+      const std::vector<Series> centroids(series.begin() + 3,
+                                          series.begin() + 3 + k);
+      common::Rng rng(seed * 100 + k);
+      std::vector<int> start(n);
+      for (int& label : start) label = rng.UniformInt(k);
+      const long long pairs = static_cast<long long>(n) * k;
+
+      for (bool pruning : {true, false}) {
+        const core::SbdEngine engine(series, core::CrossCorrelationImpl::kFft,
+                                     /*use_half_spectrum=*/true,
+                                     /*build_bound_planes=*/pruning);
+        model::AssignerOptions options;
+        options.k = k;
+        options.num_series = n;
+        options.m = m;
+        options.fft_len = engine.fft_length();
+        options.use_half_spectrum = true;
+        options.use_pruning = pruning;
+        options.use_movement_bounds = pruning;
+
+        model::Assigner block_assigner(options);
+        block_assigner.BeginIteration(centroids);
+        ASSERT_FALSE(block_assigner.bounds_valid());
+        std::vector<int> block_labels = start;
+        block_assigner.AssignBlock(engine, 0, &block_labels);
+        const model::AssignmentIterationStats block_stats =
+            block_assigner.iteration_stats();
+        EXPECT_EQ(PairsSeen(block_stats), pairs);
+        if (!pruning) {
+          EXPECT_EQ(block_stats.computed, pairs);
+        }
+
+        std::vector<std::size_t> all(n);
+        for (std::size_t i = 0; i < n; ++i) all[i] = i;
+        const std::vector<std::vector<std::size_t>> cuts = {
+            {0, n}, {0, 1, 9, 10, 33, n}};
+        for (const std::vector<std::size_t>& cut : cuts) {
+          model::Assigner sample_assigner(options);
+          sample_assigner.BeginIteration(centroids);
+          std::vector<int> sample_labels = start;
+          for (std::size_t c = 0; c + 1 < cut.size(); ++c) {
+            sample_assigner.AssignSample(engine, 0, all, cut[c], cut[c + 1],
+                                         &sample_labels);
+          }
+          EXPECT_EQ(sample_labels, block_labels)
+              << "seed=" << seed << " k=" << k << " pruning=" << pruning;
+          ExpectSameStats(sample_assigner.iteration_stats(), block_stats,
+                          "AssignSample vs AssignBlock");
+          EXPECT_EQ(PairsSeen(sample_assigner.iteration_stats()), pairs);
+        }
+
+        if (pruning) continue;
+        model::Assigner with_assigner(options);
+        with_assigner.BeginIteration(centroids);
+        std::vector<int> with_labels = start;
+        with_assigner.AssignBlockWith(
+            [&](int j, std::size_t i) {
+              return engine.Distance(with_assigner.queries()[j], i);
+            },
+            0, n, &with_labels);
+        EXPECT_EQ(with_labels, block_labels) << "seed=" << seed << " k=" << k;
+        ExpectSameStats(with_assigner.iteration_stats(), block_stats,
+                        "AssignBlockWith vs AssignBlock");
+        EXPECT_EQ(PairsSeen(with_assigner.iteration_stats()), pairs);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
