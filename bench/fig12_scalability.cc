@@ -46,6 +46,7 @@
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "core/kshape.h"
+#include "core/sbd.h"
 #include "data/generators.h"
 #include "distance/euclidean.h"
 #include "eval/metrics.h"
@@ -268,10 +269,12 @@ int main(int argc, char** argv) {
   const cluster::ArithmeticMeanAveraging mean_avg;
   const cluster::KMeans k_avg_ed(&ed, &mean_avg, "k-AVG+ED");
   const core::KShape kshape;
-  // Ablation column: the identical algorithm with the spectrum cache off,
-  // paying two forward transforms inside every assignment distance.
+  // Ablation column: the identical algorithm measuring SBD per pair through
+  // an explicit SbdDistance ("k-Shape+SBD"), paying two forward transforms
+  // inside every assignment distance.
+  const core::SbdDistance direct_sbd;
   core::KShapeOptions no_cache_options;
-  no_cache_options.use_spectrum_cache = false;
+  no_cache_options.assignment_distance = &direct_sbd;
   const core::KShape kshape_no_cache(no_cache_options);
 
   // Phase telemetry (extract/assign, monotonic clock summed across

@@ -178,8 +178,8 @@ int main() {
                 core::CrossCorrelationImpl::kFftNoPow2, 120, 384);
 
   // Full k-Shape: series spectra once per call, centroid spectra once per
-  // iteration. The ablation flag switches the identical algorithm back to
-  // per-pair Sbd().
+  // iteration. An explicit SbdDistance switches the identical algorithm back
+  // to per-pair Sbd() (the "k-Shape+SBD" ablation).
   {
     constexpr std::size_t n = 300;
     constexpr std::size_t m = 256;
@@ -188,8 +188,9 @@ int main() {
     const std::vector<Series> series = MakeSeries(n, m, 2);
     core::KShapeOptions cached_options;
     cached_options.init = core::KShapeInit::kPlusPlusSeeding;
+    const core::SbdDistance direct_sbd;
     core::KShapeOptions uncached_options = cached_options;
-    uncached_options.use_spectrum_cache = false;
+    uncached_options.assignment_distance = &direct_sbd;
     const core::KShape cached_kshape(cached_options);
     const core::KShape uncached_kshape(uncached_options);
 

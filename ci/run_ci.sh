@@ -165,99 +165,39 @@ echo "==> tier1 tests under -march=native (kernel TU contract firewall)"
 echo "==> simd-kernels smoke under -march=native"
 (cd "${NATIVE_DIR}" && ./bench/simd_kernels --smoke)
 
+# Each sanitizer stage builds and runs exactly the suites of its array.
+TSAN_SUITES=(parallel_test thread_pool_test sbd_cache_test fft_test rfft_test
+             simd_kernels_test pruning_test sharded_store_test
+             shape_extraction_test minibatch_kshape_test fitted_model_test
+             kshape_test cluster_test multivariate_test)
+ASAN_SUITES=(degenerate_input_test robustness_properties_test tseries_test
+             fft_test rfft_test simd_kernels_test pruning_test
+             sharded_store_test sbd_cache_test shape_extraction_test
+             kshape_test minibatch_kshape_test fitted_model_test
+             multivariate_test)
+
 echo "==> ThreadSanitizer build (${TSAN_DIR})"
 cmake -B "${TSAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DKSHAPE_SANITIZE=thread
-cmake --build "${TSAN_DIR}" -j "${JOBS}" \
-      --target parallel_test thread_pool_test sbd_cache_test fft_test \
-               rfft_test simd_kernels_test pruning_test sharded_store_test \
-               shape_extraction_test minibatch_kshape_test fitted_model_test \
-               kshape_test cluster_test multivariate_test
+cmake --build "${TSAN_DIR}" -j "${JOBS}" --target "${TSAN_SUITES[@]}"
 
-echo "==> race check: parallel + thread_pool + sbd_cache + fft + rfft + simd_kernels + pruning + sharded_store + shape_extraction + minibatch + fitted_model + kshape + cluster + multivariate under TSan"
 # Run the parallel paths at a thread count high enough to force real
 # interleaving even on small CI machines.
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/parallel_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/thread_pool_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/sbd_cache_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/fft_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/rfft_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/simd_kernels_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/pruning_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/sharded_store_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/shape_extraction_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/minibatch_kshape_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/fitted_model_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/kshape_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/cluster_test"
-KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    "${TSAN_DIR}/tests/multivariate_test"
+for suite in "${TSAN_SUITES[@]}"; do
+  echo "==> race check under TSan: ${suite}"
+  KSHAPE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" "${TSAN_DIR}/tests/${suite}"
+done
 
 echo "==> ASan+UBSan build (${ASAN_DIR})"
 cmake -B "${ASAN_DIR}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DKSHAPE_SANITIZE=address,undefined
-cmake --build "${ASAN_DIR}" -j "${JOBS}" \
-      --target degenerate_input_test robustness_properties_test tseries_test \
-               fft_test rfft_test simd_kernels_test pruning_test \
-               sharded_store_test sbd_cache_test \
-               shape_extraction_test kshape_test minibatch_kshape_test \
-               fitted_model_test multivariate_test
+cmake --build "${ASAN_DIR}" -j "${JOBS}" --target "${ASAN_SUITES[@]}"
 
-echo "==> hostile-input check: robustness suites under ASan+UBSan"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/degenerate_input_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/robustness_properties_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/tseries_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/fft_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/rfft_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/simd_kernels_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/pruning_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/sharded_store_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/sbd_cache_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/shape_extraction_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/kshape_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/minibatch_kshape_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/fitted_model_test"
-ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-    "${ASAN_DIR}/tests/multivariate_test"
+for suite in "${ASAN_SUITES[@]}"; do
+  echo "==> hostile-input check under ASan+UBSan: ${suite}"
+  ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+      "${ASAN_DIR}/tests/${suite}"
+done
 
 echo "==> CI OK"

@@ -93,9 +93,6 @@ MiniBatchKShape::MiniBatchKShape(core::KShapeOptions options)
     : options_(options), name_("k-Shape-sharded") {
   KSHAPE_CHECK(options_.max_iterations >= 1);
   KSHAPE_CHECK(options_.refresh_period >= 1);
-  KSHAPE_CHECK_MSG(options_.use_spectrum_cache,
-                   "the sharded driver IS the spectrum-cache path; "
-                   "use_spectrum_cache = false has no sharded analogue");
   KSHAPE_CHECK_MSG(options_.assignment_distance == nullptr,
                    "custom assignment distances are not streamable; "
                    "use the in-memory KShape");

@@ -52,9 +52,9 @@ namespace kshape::cluster {
 /// draws; 0 in exact mode). AssignmentIterationStats entries for sampled
 /// iterations partition B*k candidates instead of n*k.
 ///
-/// The sharded source requires the cached-SBD configuration:
-/// use_spectrum_cache on and no custom assignment_distance (both are
-/// KSHAPE_CHECKed — streaming shards IS the spectrum-cache path).
+/// The sharded source requires the cached-SBD configuration: no custom
+/// assignment_distance (KSHAPE_CHECKed — streaming shards IS the
+/// spectrum-cache path).
 class MiniBatchKShape {
  public:
   explicit MiniBatchKShape(core::KShapeOptions options = {});

@@ -53,14 +53,9 @@ cluster::ClusteringResult KShape::Cluster(
   // Spectrum cache: every series' forward FFT is computed once here and
   // reused by every ++-seeding scan and every assignment distance; centroid
   // spectra are minted once per iteration inside the driver. A custom
-  // assignment distance, or the cache turned off, runs the no-engine
-  // configuration instead: per-pair distances through a DistanceMeasure
-  // (the direct Sbd() when none is given).
-  const SbdDistance direct_sbd;
+  // assignment distance runs the no-engine configuration instead: per-pair
+  // distances through the DistanceMeasure.
   const distance::DistanceMeasure* distance = options_.assignment_distance;
-  if (distance == nullptr && !options_.use_spectrum_cache) {
-    distance = &direct_sbd;
-  }
   std::optional<SbdEngine> engine;
   std::optional<MeasurePolicy> policy;
   if (distance == nullptr) {

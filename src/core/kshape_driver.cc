@@ -340,22 +340,15 @@ cluster::ClusteringResult RunKShapeDriver(
   };
 
   // Assignment (Algorithm 3, lines 11-17) of one block's rows, delegated to
-  // the Assigner: rows fan out on the pool with disjoint writes.
+  // the Assigner: rows fan out on the pool with disjoint writes. Without
+  // engines the policy supplies the distance.
   const auto assign = [&](const SeriesBlock& block, const BlockRows& rows) {
-    if (rows.count == 0) return;
-    if (!rows.set->all) {
-      assigner.AssignSample(*block.engine, block.base, rows.set->sample,
-                            rows.pos, rows.pos + rows.count,
-                            &result.assignments);
-    } else if (engines) {
-      assigner.AssignBlock(*block.engine, block.base, &result.assignments);
-    } else {
-      assigner.AssignBlockWith(
-          [&](int j, std::size_t i) {
-            return policy->Distance(j, i, block.batch[i - block.base]);
-          },
-          block.base, block.batch.size(), &result.assignments);
-    }
+    assigner.AssignRows(
+        block.engine,
+        [&](int j, std::size_t i) {
+          return policy->Distance(j, i, block.batch[i - block.base]);
+        },
+        block.base, rows.count, rows.run().rows, &result.assignments);
   };
 
   // One walk over the blocks holding a row of `to_assign` or `to_fill`, in

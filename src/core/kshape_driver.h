@@ -4,8 +4,8 @@
 // Four facades run on RunKShapeDriver. KShape (one in-memory block) and
 // MiniBatchKShape (one block per shard of a ShardedSeriesStore) differ only
 // in the BlockSource they present; both measure SBD through the blocks'
-// cached-spectrum engines. KShape with a custom assignment distance (or the
-// spectrum cache off), KSC (cluster/ksc.h) and multivariate k-Shape
+// cached-spectrum engines. KShape with a custom assignment distance, KSC
+// (cluster/ksc.h) and multivariate k-Shape
 // (core/multivariate.h) run the no-engine configuration instead, where one
 // CentroidPolicy supplies the distance, the member alignment and the
 // centroid solve. The driver owns everything else —
@@ -20,7 +20,7 @@
 //
 // Iteration t's walk visits, in ascending order, every block holding a row
 // that t assigns or t+1 refines, and acquires each once: it assigns the
-// block's rows (AssignBlock, AssignBlockWith or its slice of AssignSample),
+// block's rows (one Assigner::AssignRows call: whole block or sample slice),
 // then fills iteration t+1's accumulators with the same block's members —
 // referenced at the centroids t just solved, aligned with t's queries (or
 // the policy prepared with those centroids), over the labels t just wrote.

@@ -18,6 +18,8 @@ namespace {
 // land on the same bits.
 constexpr std::size_t kScanGrain = 16;
 
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 Assigner::Assigner(const AssignerOptions& options) : options_(options) {
@@ -27,11 +29,9 @@ Assigner::Assigner(const AssignerOptions& options) : options_(options) {
                    "movement bounds ride on the pruning layer");
   const std::size_t n = options_.num_series;
   const int k = options_.k;
-  if (options_.use_pruning) {
-    cnt_computed_.assign(n, 0);
-    cnt_pruned_.assign(n, 0);
-    cnt_abandoned_.assign(n, 0);
-  }
+  cnt_computed_.assign(n, 0);
+  cnt_pruned_.assign(n, 0);
+  cnt_abandoned_.assign(n, 0);
   if (options_.use_movement_bounds) {
     ub_r_.assign(n, 0.0);
     lb_r_.assign(n, 0.0);
@@ -96,16 +96,17 @@ void Assigner::BeginIteration(const tseries::SeriesBatch& centroids) {
   }
 }
 
-void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
-                               std::size_t row, bool use_bounds,
-                               std::vector<int>* assignments,
-                               std::vector<double>* distances) {
+template <typename Distance>
+void Assigner::ScanRow(std::size_t i, bool use_bounds, bool refresh_bounds,
+                       const Distance& dist, std::vector<int>* assignments,
+                       std::vector<double>* distances) {
   const int k = options_.k;
   const double margin = options_.prune_margin;
   const int owner = (*assignments)[i];
+  KSHAPE_CHECK_MSG(owner >= 0 && owner < k,
+                   "a row's incoming label must name a centroid");
   long long comp = 0, pruned = 0, aband = 0;
-  bool scanned = true;
-  double d_owner = 0.0;
+  double lb2 = 0.0;
   if (use_bounds) {
     // Apply this iteration's centroid movement to the bounds. Bounds live in
     // the sqrt(SBD) domain, where SBD behaves (approximately) like a squared
@@ -117,34 +118,28 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
     ub_r_[i] += shift_r_[owner];
     lb_r_[i] -= owner == max_shift_arg_ ? max_shift2_ : max_shift1_;
     if (lb_r_[i] < 0.0) lb_r_[i] = 0.0;
-    const double ub2 = ub_r_[i] * ub_r_[i];
-    const double lb2 = lb_r_[i] * lb_r_[i];
-    if (ub2 + margin <= lb2) {
-      // Whole-series prune: no centroid can take this series.
-      pruned = k;
-      scanned = false;
-    } else {
+    lb2 = lb_r_[i] * lb_r_[i];
+    // Whole-series prune: no centroid can take this series.
+    if (ub_r_[i] * ub_r_[i] + margin <= lb2) pruned = k;
+  }
+  double d_owner = 0.0;
+  if (pruned == 0) {
+    d_owner = dist(owner, i, kInfinity, nullptr);
+    ++comp;
+    if (use_bounds) {
       // Tighten the upper bound with the exact owner distance, then re-test
       // (Hamerly's second check).
-      d_owner = engine.Distance(queries_[owner], row);
-      ++comp;
       ub_r_[i] = std::sqrt(std::max(0.0, d_owner));
-      if (d_owner + margin <= lb2) {
-        pruned = k - 1;
-        scanned = false;
-      }
+      if (d_owner + margin <= lb2) pruned = k - 1;
     }
-  } else {
-    d_owner = engine.Distance(queries_[owner], row);
-    ++comp;
   }
-  if (scanned) {
-    // Full ascending-j scan with spectral early abandoning. The owner's
-    // distance is computed up front (reused at j == owner), so the
-    // comparison sequence over computed distances is the one the exact scan
-    // walks — identical labels and tie-breaks.
-    double min1 = std::numeric_limits<double>::infinity();
-    double min2 = std::numeric_limits<double>::infinity();
+  if (pruned == 0) {
+    // Ascending-j scan with strict-less updates and spectral early
+    // abandoning. The owner's distance is computed up front (reused at
+    // j == owner), so the comparison sequence over computed distances is the
+    // one the exhaustive scan walks — identical labels and tie-breaks.
+    double min1 = kInfinity;
+    double min2 = kInfinity;
     int best = owner;
     for (int j = 0; j < k; ++j) {
       bool ab = false;
@@ -152,9 +147,7 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
       if (j == owner) {
         v = d_owner;
       } else {
-        v = engine.DistanceWithAbandon(
-            queries_[j], row, min1 + core::SbdEngine::kDefaultBoundSlack,
-            &ab);
+        v = dist(j, i, min1 + core::SbdEngine::kDefaultBoundSlack, &ab);
         if (ab) {
           ++aband;
         } else {
@@ -172,184 +165,120 @@ void Assigner::PrunedScanIndex(const core::SbdEngine& engine, std::size_t i,
       }
     }
     (*assignments)[i] = best;
-    if (options_.use_movement_bounds) {
+    if (refresh_bounds) {
       ub_r_[i] = std::sqrt(std::max(0.0, min1));
       lb_r_[i] = std::sqrt(std::max(0.0, min2));
     }
     if (distances != nullptr) (*distances)[i] = min1;
-  }
-  if (!verify_mismatch_.empty()) {
-    // Exact recomputation of the argmin (outside the telemetry counters);
-    // the pruned decision is kept either way.
-    double vmin = std::numeric_limits<double>::infinity();
-    int vbest = owner;
-    for (int j = 0; j < k; ++j) {
-      const double d = engine.Distance(queries_[j], row);
-      if (d < vmin) {
-        vmin = d;
-        vbest = j;
-      }
-    }
-    verify_mismatch_[i] = vbest != (*assignments)[i] ? 1 : 0;
   }
   cnt_computed_[i] = comp;
   cnt_pruned_[i] = pruned;
   cnt_abandoned_[i] = aband;
 }
 
-void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
-                           std::vector<int>* assignments,
-                           std::vector<double>* distances) {
+void Assigner::VerifyRow(const core::SbdEngine& engine, std::size_t i,
+                         std::size_t row, int label) {
+  // Exact recomputation of the argmin (outside the telemetry counters); the
+  // pruned decision is kept either way.
+  double vmin = kInfinity;
+  int vbest = label;
+  for (int j = 0; j < options_.k; ++j) {
+    const double d = engine.Distance(queries_[j], row);
+    if (d < vmin) {
+      vmin = d;
+      vbest = j;
+    }
+  }
+  verify_mismatch_[i] = vbest != label ? 1 : 0;
+}
+
+void Assigner::AssignRows(const core::SbdEngine* engine,
+                          const CentroidDistance& dist, std::size_t base,
+                          std::size_t count,
+                          std::span<const std::size_t> sample,
+                          std::vector<int>* assignments,
+                          std::vector<double>* distances) {
   KSHAPE_CHECK(assignments != nullptr);
-  const std::size_t rows = engine.size();
-  const int k = options_.k;
-  KSHAPE_CHECK(base + rows <= options_.num_series);
-  KSHAPE_CHECK(!queries_.empty());
+  if (count == 0) return;
+  const bool whole = sample.empty();
+  KSHAPE_CHECK(whole || sample.size() == count);
+  KSHAPE_CHECK(!whole || base + count <= options_.num_series);
+  if (engine != nullptr) {
+    KSHAPE_CHECK(!queries_.empty());
+  } else {
+    KSHAPE_CHECK_MSG(!options_.use_pruning && dist,
+                     "pruning needs engine spectra; the callback path is "
+                     "the exhaustive scan");
+  }
   KSHAPE_CHECK_MSG(distances == nullptr || !options_.use_movement_bounds,
                    "a bounds-pruned series computes no distance; request "
                    "distances only from bound-free scans");
 
-  if (!options_.use_pruning) {
-    common::ParallelFor(0, rows, kScanGrain,
+  const auto index = [&](std::size_t t) {
+    return whole ? base + t : sample[t];
+  };
+  // Sampled passes neither consult nor refresh the movement bounds.
+  const bool use_bounds = whole && use_bounds_iter_;
+  const bool refresh_bounds = whole && options_.use_movement_bounds;
+  const auto scan = [&](const auto& distance) {
+    common::ParallelFor(0, count, kScanGrain,
                         [&](std::size_t begin, std::size_t end) {
-      for (std::size_t r = begin; r < end; ++r) {
-        const std::size_t i = base + r;
-        double min_dist = std::numeric_limits<double>::infinity();
-        int best = (*assignments)[i];
-        for (int j = 0; j < k; ++j) {
-          const double d = engine.Distance(queries_[j], r);
-          if (d < min_dist) {
-            min_dist = d;
-            best = j;
-          }
+      for (std::size_t t = begin; t < end; ++t) {
+        const std::size_t i = index(t);
+        ScanRow(i, use_bounds, refresh_bounds, distance, assignments,
+                distances);
+        if (!verify_mismatch_.empty()) {
+          VerifyRow(*engine, i, i - base, (*assignments)[i]);
         }
-        (*assignments)[i] = best;
-        if (distances != nullptr) (*distances)[i] = min_dist;
       }
     });
-    stats_.computed += static_cast<long long>(rows) * k;
-    return;
+  };
+  // Distance functors take (j, i, cutoff, abandoned). A null `abandoned`
+  // asks for the exact distance; otherwise a pruned scan may stop once the
+  // distance provably exceeds `cutoff`, setting *abandoned.
+  if (engine == nullptr) {
+    scan([&](int j, std::size_t i, double, bool*) { return dist(j, i); });
+  } else {
+    const bool pruning = options_.use_pruning;
+    scan([&](int j, std::size_t i, double cutoff, bool* abandoned) {
+      return pruning && abandoned != nullptr
+                 ? engine->DistanceWithAbandon(queries_[j], i - base, cutoff,
+                                               abandoned)
+                 : engine->Distance(queries_[j], i - base);
+    });
   }
-
-  const bool use_bounds = use_bounds_iter_;
-  common::ParallelFor(0, rows, kScanGrain,
-                      [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      PrunedScanIndex(engine, base + r, r, use_bounds, assignments,
-                      distances);
-    }
-  });
   // Telemetry reduced in ascending index order per block; blocks arrive in
   // ascending base order, so the run-level sums match the historical
   // global-index-order reduction.
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t i = base + r;
+  for (std::size_t t = 0; t < count; ++t) {
+    const std::size_t i = index(t);
     stats_.computed += cnt_computed_[i];
     stats_.pruned_bounds += cnt_pruned_[i];
     stats_.abandoned_partial += cnt_abandoned_[i];
-  }
-  if (!verify_mismatch_.empty()) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      verify_count_ += verify_mismatch_[base + r];
-    }
+    if (!verify_mismatch_.empty()) verify_count_ += verify_mismatch_[i];
   }
 }
 
-void Assigner::AssignBlockWith(
-    const std::function<double(int, std::size_t)>& dist, std::size_t base,
-    std::size_t rows, std::vector<int>* assignments) {
-  KSHAPE_CHECK(assignments != nullptr);
-  KSHAPE_CHECK(base + rows <= options_.num_series);
-  KSHAPE_CHECK_MSG(!options_.use_pruning,
-                   "pruning needs engine spectra; the callback path is the "
-                   "exhaustive scan");
-  const int k = options_.k;
-  common::ParallelFor(0, rows, kScanGrain,
-                      [&](std::size_t begin, std::size_t end) {
-    for (std::size_t r = begin; r < end; ++r) {
-      const std::size_t i = base + r;
-      double min_dist = std::numeric_limits<double>::infinity();
-      int best = (*assignments)[i];
-      for (int j = 0; j < k; ++j) {
-        const double d = dist(j, i);
-        if (d < min_dist) {
-          min_dist = d;
-          best = j;
-        }
-      }
-      (*assignments)[i] = best;
-    }
-  });
-  stats_.computed += static_cast<long long>(rows) * k;
+void Assigner::AssignBlock(const core::SbdEngine& engine, std::size_t base,
+                           std::vector<int>* assignments,
+                           std::vector<double>* distances) {
+  AssignRows(&engine, nullptr, base, engine.size(), {}, assignments,
+             distances);
+}
+
+void Assigner::AssignBlockWith(const CentroidDistance& dist, std::size_t base,
+                               std::size_t rows,
+                               std::vector<int>* assignments) {
+  AssignRows(nullptr, dist, base, rows, {}, assignments);
 }
 
 void Assigner::AssignSample(const core::SbdEngine& engine, std::size_t base,
                             const std::vector<std::size_t>& sample,
                             std::size_t pos, std::size_t stop,
                             std::vector<int>* assignments) {
-  KSHAPE_CHECK(assignments != nullptr);
-  KSHAPE_CHECK(!queries_.empty());
-  const int k = options_.k;
-  const bool pruning = options_.use_pruning;
-  common::ParallelFor(pos, stop, kScanGrain,
-                      [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      const std::size_t i = sample[t];
-      const std::size_t r = i - base;
-      const int owner = (*assignments)[i];
-      long long comp = 0, aband = 0;
-      double min1 = std::numeric_limits<double>::infinity();
-      int best = owner;
-      if (pruning) {
-        const double d_owner = engine.Distance(queries_[owner], r);
-        ++comp;
-        for (int j = 0; j < k; ++j) {
-          bool ab = false;
-          double v;
-          if (j == owner) {
-            v = d_owner;
-          } else {
-            v = engine.DistanceWithAbandon(
-                queries_[j], r, min1 + core::SbdEngine::kDefaultBoundSlack,
-                &ab);
-            if (ab) {
-              ++aband;
-            } else {
-              ++comp;
-            }
-          }
-          if (!ab && v < min1) {
-            min1 = v;
-            best = j;
-          }
-        }
-      } else {
-        for (int j = 0; j < k; ++j) {
-          const double d = engine.Distance(queries_[j], r);
-          ++comp;
-          if (d < min1) {
-            min1 = d;
-            best = j;
-          }
-        }
-      }
-      (*assignments)[i] = best;
-      if (pruning) {
-        cnt_computed_[i] = comp;
-        cnt_pruned_[i] = 0;
-        cnt_abandoned_[i] = aband;
-      }
-    }
-  });
-  if (pruning) {
-    for (std::size_t t = pos; t < stop; ++t) {
-      const std::size_t i = sample[t];
-      stats_.computed += cnt_computed_[i];
-      stats_.abandoned_partial += cnt_abandoned_[i];
-    }
-  } else {
-    stats_.computed += static_cast<long long>(stop - pos) * k;
-  }
+  KSHAPE_CHECK(pos <= stop && stop <= sample.size());
+  AssignRows(&engine, nullptr, base, stop - pos,
+             std::span(sample).subspan(pos, stop - pos), assignments);
 }
 
 void Assigner::FinishIteration(int reseeds) {

@@ -805,12 +805,6 @@ TEST(MiniBatchKShapeTest, ShardBatchRejectsAnEmptyBatch) {
   EXPECT_EQ(sharded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(MiniBatchKShapeDeathTest, RequiresTheSpectrumCachePath) {
-  core::KShapeOptions options;
-  options.use_spectrum_cache = false;
-  EXPECT_DEATH(MiniBatchKShape{options}, "spectrum-cache");
-}
-
 TEST(MiniBatchKShapeDeathTest, RejectsCustomAssignmentDistances) {
   const distance::EuclideanDistance euclid;
   core::KShapeOptions options;

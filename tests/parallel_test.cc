@@ -147,8 +147,9 @@ TEST(ParallelInvarianceTest, KShapeFullRunWithoutSpectrumCache) {
   // The per-pair ablation path must stay invariant too — it is the reference
   // the cached pipeline is tolerance-tested against.
   const std::vector<Series> series = MakeSeries(36, 64, 3);
+  const core::SbdDistance direct_sbd;
   core::KShapeOptions options;
-  options.use_spectrum_cache = false;
+  options.assignment_distance = &direct_sbd;
   const core::KShape algorithm(options);
   ExpectInvariant<cluster::ClusteringResult>(
       [&] {
@@ -312,8 +313,9 @@ TEST(ParallelInvarianceTest, CachedAndUncachedSbdAgreeOnConditionedLabels) {
   // discrete outputs (assignments, iteration count, telemetry) are required
   // to coincide.
   const tseries::Dataset dataset = MakeConditionedCorruptedDataset(33);
+  const core::SbdDistance direct_sbd;
   core::KShapeOptions uncached_options;
-  uncached_options.use_spectrum_cache = false;
+  uncached_options.assignment_distance = &direct_sbd;
   const core::KShape cached;
   const core::KShape uncached(uncached_options);
 

@@ -271,8 +271,9 @@ TEST(SbdCacheTest, CachedKShapeMatchesUncachedAssignments) {
   const std::vector<Series> series = MakeSeries(45, 64, 9);
   core::KShapeOptions cached_options;
   cached_options.init = core::KShapeInit::kPlusPlusSeeding;
+  const core::SbdDistance direct_sbd;
   core::KShapeOptions uncached_options = cached_options;
-  uncached_options.use_spectrum_cache = false;
+  uncached_options.assignment_distance = &direct_sbd;
   const core::KShape cached(cached_options);
   const core::KShape uncached(uncached_options);
 
